@@ -33,9 +33,6 @@ def _default_worker_entry_functions() -> tuple[str, ...]:
         "repro.pilfill.executor._worker_init",
         "repro.pilfill.parallel.solve_tile_payload",
         "repro.pilfill.parallel._solve_payload_isolated",
-        # The sharded dispatch's pool entry (a solve_tile_batch wrapper):
-        # anchoring it keeps the purity walk live over the shard cone.
-        "repro.pilfill.shard.solve_shard_batch",
     )
 
 
@@ -62,7 +59,7 @@ def _default_payload_registry() -> tuple[str, ...]:
         # Solution-cache entries (a future pilfill serve ships hits
         # across the same boundary).
         "repro.pilfill.store.CachedEntry",
-        # Telemetry buffers marshalled back inside TileOutcome/RobustSolve.
+        # Telemetry buffers marshalled back inside TileOutcome.
         "repro.obs.trace.SpanRecord",
         "repro.obs.metrics.MetricsSnapshot",
         "repro.obs.metrics.TimerStat",
@@ -114,7 +111,6 @@ class LintPolicy:
         "repro.pilfill.robust",
         "repro.pilfill.parallel",
         "repro.pilfill.prepare",
-        "repro.pilfill.shard",
         "repro.ilp.branchbound",
         "repro.experiments.harness",
         # The telemetry clock: the single sanctioned wall-clock read for
@@ -124,9 +120,6 @@ class LintPolicy:
     worker_entry_modules: tuple[str, ...] = (
         "repro.pilfill.parallel",
         "repro.pilfill.executor",
-        # Unpickling the sharded batch solver imports this module (and
-        # its closure) inside every pool worker.
-        "repro.pilfill.shard",
     )
     payload_registry: tuple[str, ...] = field(default_factory=_default_payload_registry)
     picklable_type_names: tuple[str, ...] = (

@@ -47,7 +47,7 @@ def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
     cache_dir = None if args.no_cache else args.cache_dir
     spec = TableSpec(
         workers=args.workers, parallel_backend=args.backend,
-        batch_tiles=args.batch_tiles, persistent_pool=not args.ephemeral_pool,
+        batch_tiles=args.batch_tiles,
         tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
         telemetry=telemetry, cache_dir=cache_dir,
         density_backend=args.density_backend, shards=args.shards,
@@ -56,7 +56,7 @@ def _cmd_table(args: argparse.Namespace, weighted: bool) -> int:
         spec = TableSpec(
             testcases=("T1",), windows_um=(32,), r_values=(2,),
             workers=args.workers, parallel_backend=args.backend,
-            batch_tiles=args.batch_tiles, persistent_pool=not args.ephemeral_pool,
+            batch_tiles=args.batch_tiles,
             tile_deadline_s=args.tile_deadline, run_deadline_s=args.run_deadline,
             telemetry=telemetry, cache_dir=cache_dir,
             density_backend=args.density_backend, shards=args.shards,
@@ -128,7 +128,6 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         workers=args.workers,
         parallel_backend=args.backend,
         batch_tiles=args.batch_tiles,
-        persistent_pool=not args.ephemeral_pool,
         tile_deadline_s=args.tile_deadline,
         run_deadline_s=args.run_deadline,
         telemetry=bool(args.trace_out or args.metrics_out),
@@ -251,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-tiles", type=int, default=None,
                        help="tiles per process-pool submit (default: "
                             "auto-sized; results are identical either way)")
-        p.add_argument("--ephemeral-pool", action="store_true",
-                       help="tear the process pool down after each run "
-                            "instead of reusing it across runs")
         p.add_argument("--tile-deadline", type=float, default=None,
                        help="per-tile solve deadline in seconds; timed-out "
                             "tiles degrade ILP-II -> ILP-I -> Greedy")
@@ -309,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-tiles", type=int, default=None,
                    help="tiles per process-pool submit (default: "
                         "auto-sized; results are identical either way)")
-    p.add_argument("--ephemeral-pool", action="store_true",
-                   help="tear the process pool down after each run "
-                        "instead of reusing it across runs")
     p.add_argument("--tile-deadline", type=float, default=None,
                    help="per-tile solve deadline in seconds; timed-out "
                         "tiles degrade ILP-II -> ILP-I -> Greedy")

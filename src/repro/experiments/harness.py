@@ -104,7 +104,6 @@ def run_config(
     workers: int = 1,
     parallel_backend: str = "thread",
     batch_tiles: int | None = None,
-    persistent_pool: bool = True,
     prepared: PreparedInstance | None = None,
     tile_deadline_s: float | None = None,
     run_deadline_s: float | None = None,
@@ -124,8 +123,6 @@ def run_config(
         parallel_backend: ``"thread"`` or ``"process"`` (see
             :class:`EngineConfig`); only meaningful with ``workers > 1``.
         batch_tiles: tiles per process-pool submit (None auto-sizes; see
-            :class:`EngineConfig`).
-        persistent_pool: reuse process pools across runs (default; see
             :class:`EngineConfig`).
         prepared: preprocessing to reuse; built once here when omitted.
         tile_deadline_s: per-tile solve deadline (see :class:`EngineConfig`).
@@ -175,7 +172,6 @@ def run_config(
             workers=workers,
             parallel_backend=parallel_backend,
             batch_tiles=batch_tiles,
-            persistent_pool=persistent_pool,
             tile_deadline_s=tile_deadline_s,
             run_deadline_s=run_deadline_s,
             fallback=fallback,

@@ -33,18 +33,20 @@ features via ``layout.add_fill`` afterwards.
 
 from __future__ import annotations
 
-import dataclasses
-import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.dissection.density import DENSITY_BACKENDS
 from repro.errors import FillError, SolveTimeoutError
 from repro.layout.layout import FillFeature, RoutedLayout
-from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike
+from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACER, Tracer, TracerLike
+from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.pilfill.budgeted import (
+    build_cap_tables,
+    solve_tile_budgeted_greedy,
+    solve_tile_budgeted_ilp,
+)
 from repro.pilfill.columns import SlackColumnDef
 from repro.pilfill.costs import ColumnCosts
 from repro.pilfill.incremental import (
@@ -53,36 +55,19 @@ from repro.pilfill.incremental import (
     run_context_digest,
     tile_digest,
 )
-from repro.pilfill.budgeted import (
-    build_cap_tables,
-    solve_tile_budgeted_greedy,
-    solve_tile_budgeted_ilp,
-)
-from repro.pilfill.methods import solve_tile_method, trim_to
-from repro.pilfill.mvdc import derive_tile_delay_budgets, solve_tile_mvdc
+from repro.pilfill.mvdc import derive_tile_delay_budgets
 from repro.pilfill.parallel import (
     PARALLEL_BACKENDS,
     TileOutcome,
     dispatch_tile_payloads,
-    dispatch_tiles,
     make_tile_payload,
-    tile_rng,
 )
 from repro.pilfill.prepare import PreparedInstance, prepare
-from repro.pilfill.robust import (
-    RobustSolve,
-    SolveReport,
-    effective_time_limit,
-    failed_report,
-    solve_tile_robust,
-)
+from repro.pilfill.robust import SolveReport, effective_time_limit, failed_report
+from repro.pilfill.shard import plan_shards
 from repro.pilfill.solution import TileSolution
 from repro.tech.rules import DensityRules, FillRules
-from repro.testing import faults as fault_hooks
 from repro.testing.faults import FaultSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedCostStore, TileBatch
 
 #: The method names the engine accepts.
 METHODS = ("normal", "ilp1", "ilp2", "greedy", "greedy_marginal", "dp")
@@ -130,23 +115,22 @@ class EngineConfig:
         workers: per-tile solver parallelism. 1 (default) solves tiles
             serially; N > 1 fans tiles out over N workers with a
             deterministic merge that is bit-identical to the serial path.
-        parallel_backend: ``"thread"`` (default) or ``"process"``. The
-            process backend ships tiles as compact picklable payloads
-            (budget + seed + deadlines, no layout objects) in chunked
-            batches on a *persistent* pool, with the cost tables and LUT
-            arrays riding a shared-memory store that crosses the pickle
-            boundary once per worker instead of once per tile; results
-            are bit-identical to serial for every method.
+        parallel_backend: ``"thread"`` (default) or ``"process"``. Every
+            backend solves the same per-tile payloads (budget + seed +
+            deadlines, no layout objects). Serial and thread runs hand
+            the solver the prepared cost tables directly; the process
+            backend ships payloads in chunked batches to a persistent
+            pool (created lazily per worker count, released via
+            :func:`repro.pilfill.executor.shutdown_pools`), with the cost
+            tables and LUT arrays riding a shared-memory store that
+            crosses the pickle boundary once per worker instead of once
+            per tile. Results are bit-identical to serial for every
+            method.
         batch_tiles: tiles per process-pool submit. ``None`` (default)
             auto-sizes to a few batches per worker, capped at 64 —
             dozens of tiles per future instead of one, so dispatch
             overhead stops swamping the tiny per-tile solves. Chunking
             never affects results.
-        persistent_pool: True (default) → process pools persist across
-            ``engine.run()`` calls (created lazily per worker count;
-            release explicitly via
-            :func:`repro.pilfill.executor.shutdown_pools`). False →
-            a throwaway pool per dispatch, the pre-persistence behavior.
         tile_deadline_s: wall-clock deadline per tile solve (seconds).
             An ILP attempt exceeding it surfaces ``TIME_LIMIT`` and the
             tile degrades down the fallback chain (ILP-II → ILP-I →
@@ -178,6 +162,8 @@ class EngineConfig:
             bit-identical to cold solves by construction. ``None``
             (default) → no caching. Ignored (with zeroed counters) when
             a tile/run deadline makes outcomes wall-clock-dependent.
+            :meth:`PILFillEngine.run_mvdc` and
+            :meth:`PILFillEngine.run_budgeted` reject it.
         shards: partition the solve phase into this many row-band shards
             along the dissection's window cut lines (see
             :mod:`repro.pilfill.shard`). Each shard builds only its own
@@ -186,9 +172,8 @@ class EngineConfig:
             persistent pool, and the merge is bit-identical to the
             unsharded run — sharding is a scheduling knob, excluded from
             :func:`~repro.pilfill.incremental.run_context_digest` like
-            ``workers``. 1 (default) → the single-pass path. Applies to
-            :meth:`PILFillEngine.run` only (the MVDC and budgeted
-            variants ignore it).
+            ``workers``. 1 (default) → one shard over the whole grid.
+            :meth:`PILFillEngine.run_budgeted` rejects values above 1.
     """
 
     fill_rules: FillRules
@@ -205,7 +190,6 @@ class EngineConfig:
     workers: int = 1
     parallel_backend: str = "thread"
     batch_tiles: int | None = None
-    persistent_pool: bool = True
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
     fallback: bool = True
@@ -381,113 +365,229 @@ class PILFillEngine:
             result.phase_seconds[phase] = self.prepared.phase_seconds.get(phase, 0.0)
         result.phase_seconds["solve"] = solve_seconds
 
-    def _place(self, costs: list[ColumnCosts], solution: TileSolution,
-               features: list[FillFeature]) -> None:
-        """Append the solution's placements (explicit sampled sites when
-        the method recorded them, column-prefix sites otherwise)."""
-        for k, cc in enumerate(costs):
-            for s in solution.sites_for(k):
-                features.append(FillFeature(layer=self.layer, rect=cc.column.sites[s]))
+    def _placed(self, costs: list[ColumnCosts], solution: TileSolution) -> list[FillFeature]:
+        """The solution's placements (explicit sampled sites when the
+        method recorded them, column-prefix sites otherwise)."""
+        return [
+            FillFeature(layer=self.layer, rect=cc.column.sites[s])
+            for k, cc in enumerate(costs)
+            for s in solution.sites_for(k)
+        ]
 
     def run(self, budget: dict[tuple[int, int], int] | None = None) -> FillResult:
         """Execute the flow. ``budget`` overrides the density step when
         given (used to hold density control identical across methods);
         the override also skips building the density map entirely.
 
-        With ``config.shards > 1`` the solve phase runs shard by shard
-        (:func:`~repro.pilfill.shard.run_sharded`) — bounded peak memory,
-        bit-identical results."""
-        cfg = self.config
-        if cfg.shards > 1:
-            from repro.pilfill.shard import run_sharded
+        The solve phase runs over a :class:`~repro.pilfill.shard.
+        ShardPlan` of ``config.shards`` row bands (one band by default) —
+        bounded peak memory, bit-identical results for any shard count."""
+        return self._solve_plan(budget)
 
-            return run_sharded(self, budget=budget)
+    def run_mvdc(self, slack_fraction: float = 0.25) -> FillResult:
+        """Run the MVDC (minimum variation with delay constraint) variant
+        — the formulation the paper mentions in footnote ‡ but does not
+        develop.
+
+        Per tile, the density step's prescription becomes a *ceiling*
+        rather than an obligation: the solver packs as many features as a
+        per-tile delay budget allows (derived as ``slack_fraction`` of the
+        worst-case impact of the prescribed count). Tiles with generous
+        free space still fill fully; tiles where every site is expensive
+        stop early — trading density uniformity for timing safety.
+
+        Runs through the same shard-plan solver as :meth:`run` (every
+        backend, shard count and telemetry knob applies), with each
+        tile's delay budget riding its payload. The solution cache is
+        rejected: tile digests do not cover the delay budget, so a cached
+        MDFC solution could be replayed for an MVDC tile.
+        """
+        if self.config.solution_cache is not None:
+            raise FillError(
+                "run_mvdc does not support solution_cache: tile digests do "
+                "not cover the MVDC delay budget"
+            )
+        result = self._solve_plan(None, mvdc_fraction=slack_fraction)
+        # MVDC may place fewer features than prescribed; the effective
+        # budget is what it actually placed.
+        for key, solution in result.tile_solutions.items():
+            result.effective_budget[key] = solution.total_features
+        return result
+
+    def _solve_plan(
+        self,
+        budget: dict[tuple[int, int], int] | None,
+        mvdc_fraction: float | None = None,
+    ) -> FillResult:
+        """The one solve pipeline behind :meth:`run` and :meth:`run_mvdc`.
+
+        Per shard of the plan: effective budgets (the prescription clamped
+        to column capacity), the solution-cache partition, payload
+        dispatch of the misses, and buffered placement while the shard's
+        cost tables are alive. One final pass in global dissection order
+        then merges every tile — the same feature order, float
+        accumulation order and telemetry absorption for any shard count.
+
+        A one-shard plan uses the memoized whole-grid cost tables and
+        shared store; a multi-shard plan builds each shard's tables and
+        store on demand and closes the store when the shard completes.
+        ``mvdc_fraction`` switches the payloads to the MVDC solve with
+        per-tile delay budgets derived from that slack fraction.
+        """
+        cfg = self.config
+        method = cfg.method if mvdc_fraction is None else "mvdc"
         telemetry = Telemetry() if cfg.telemetry else None
         tracer: TracerLike = telemetry.tracer if telemetry is not None else NULL_TRACER
         metrics: MetricsLike = telemetry.metrics if telemetry is not None else NULL_METRICS
         prep = self._prepared_traced(tracer)
+        plan = plan_shards(prep, n_shards=cfg.shards)
         result = FillResult(telemetry=telemetry)
 
         with tracer.span(
-            "engine.run", method=cfg.method, backend=cfg.backend,
+            "engine.run", method=method, backend=cfg.backend,
             workers=cfg.workers, parallel_backend=cfg.parallel_backend,
+            shards=plan.n_shards,
         ):
             if budget is None:
                 budget = prep.budget_for(cfg, tracer=tracer)
             result.requested_budget = dict(budget)
 
             t0 = time.perf_counter()
-            costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
-
-            solve_keys = []
-            for tile in prep.dissection.tiles():
-                want = budget.get(tile.key, 0)
-                capacity = sum(c.capacity for c in costs_by_tile.get(tile.key, []))
-                effective = min(want, capacity)
-                result.effective_budget[tile.key] = effective
-                if effective > 0:
-                    solve_keys.append(tile.key)
-
-            effective_budget = result.effective_budget
             run_deadline = self._run_deadline()
-
-            # Incremental re-fill: look every tile up by its content
-            # digest first. Hits become ready-made outcomes; only misses
-            # reach a dispatcher, so chunked batches shrink accordingly
-            # and an all-hit run never touches a pool.
+            # Incremental re-fill: tiles whose content digest hits the
+            # cache become ready-made outcomes; only misses are dispatched,
+            # so an all-hit run never touches a pool.
             cache = (
                 cfg.solution_cache
                 if cfg.solution_cache is not None and cache_eligible(cfg)
                 else None
             )
-            cached_outcomes: dict[tuple[int, int], TileOutcome] = {}
+            stats_before = cache.stats() if cache is not None else {}
+            context = run_context_digest(cfg, self.layer) if cache is not None else ""
             digests: dict[tuple[int, int], str] = {}
-            if cache is None:
-                dispatch_keys = list(solve_keys)
-                stats_before: dict[str, int] = {}
-            else:
-                stats_before = cache.stats()
-                context = run_context_digest(cfg, self.layer)
-                dispatch_keys = []
-                for key in solve_keys:
-                    digest = tile_digest(
-                        context, key, costs_by_tile[key], effective_budget[key]
-                    )
-                    digests[key] = digest
-                    hit = cache.lookup(digest)
-                    if hit is None:
-                        dispatch_keys.append(key)
-                    else:
-                        solution, report = hit
-                        cached_outcomes[key] = TileOutcome(
-                            key=key, value=solution, seconds=0.0, report=report
-                        )
+            dispatched: list[tuple[int, int]] = []
+            effective: dict[tuple[int, int], int] = {}
+            # Per-tile merge inputs, buffered while the owning shard's
+            # cost tables are alive: (outcome, placed features, columns).
+            solved: dict[tuple[int, int], tuple[TileOutcome, list[FillFeature], int]] = {}
+            ship = cfg.parallel_backend == "process" and cfg.workers > 1
 
-            with tracer.span(
-                "solve", tiles=len(solve_keys), cached=len(cached_outcomes)
-            ):
-                store = (
-                    self._shared_store(tracer)
-                    if cfg.parallel_backend == "process"
-                    else None
-                )
-                outcomes = self._dispatch_solves(
-                    dispatch_keys, costs_by_tile, effective_budget,
-                    run_deadline, store, tracer, metrics,
-                )
-                for key in solve_keys:
-                    outcome = cached_outcomes[key] if key in cached_outcomes else outcomes[key]
-                    self._merge_outcome(
-                        result, key, outcome, costs_by_tile[key],
-                        tracer=tracer, metrics=metrics,
+            for shard in plan.shards:
+                with tracer.span(
+                    "shard", key=shard.key, rows=shard.rows, tiles=shard.tile_count
+                ):
+                    if plan.n_shards == 1:
+                        costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
+                    else:
+                        costs_by_tile = prep.costs_for_tiles(
+                            cfg.weighted, shard.tile_keys, tracer=tracer
+                        )
+                    solve_keys = []
+                    for key in shard.tile_keys:
+                        want = budget.get(key, 0)
+                        capacity = sum(c.capacity for c in costs_by_tile.get(key, []))
+                        effective[key] = min(want, capacity)
+                        if effective[key] > 0:
+                            solve_keys.append(key)
+
+                    outcomes: dict[tuple[int, int], TileOutcome] = {}
+                    misses = solve_keys
+                    if cache is not None:
+                        misses = []
+                        for key in solve_keys:
+                            digest = tile_digest(
+                                context, key, costs_by_tile[key], effective[key]
+                            )
+                            digests[key] = digest
+                            hit = cache.lookup(digest)
+                            if hit is None:
+                                misses.append(key)
+                            else:
+                                solution, report = hit
+                                outcomes[key] = TileOutcome(
+                                    key=key, value=solution, seconds=0.0, report=report
+                                )
+                    dispatched.extend(misses)
+                    delay_budgets = (
+                        derive_tile_delay_budgets(
+                            budget, {key: costs_by_tile[key] for key in misses},
+                            mvdc_fraction,
+                        )
+                        if mvdc_fraction is not None
+                        else {}
                     )
+
+                    store = None
+                    if ship and misses:
+                        store = (
+                            prep.shared_store_for(cfg.weighted, tracer=tracer)
+                            if plan.n_shards == 1
+                            else prep.store_for_costs(
+                                cfg.weighted, {key: costs_by_tile[key] for key in misses}
+                            )
+                        )
+                    payloads = [
+                        make_tile_payload(
+                            key,
+                            costs_by_tile[key],
+                            effective[key],
+                            method=cfg.method,
+                            weighted=cfg.weighted,
+                            ilp_backend=cfg.backend,
+                            seed=cfg.seed,
+                            delay_budget_ps=delay_budgets.get(key),
+                            tile_deadline_s=cfg.tile_deadline_s,
+                            run_deadline=run_deadline,
+                            fault_spec=cfg.fault_spec,
+                            fallback=cfg.fallback,
+                            telemetry=cfg.telemetry,
+                            inline_columns=ship and store is None,
+                        )
+                        for key in misses
+                    ]
+                    try:
+                        with tracer.span(
+                            "solve", tiles=len(solve_keys),
+                            cached=len(solve_keys) - len(misses), shard=shard.key,
+                        ):
+                            outcomes.update(dispatch_tile_payloads(
+                                payloads,
+                                workers=cfg.workers,
+                                isolate=cfg.fallback,
+                                backend=cfg.parallel_backend,
+                                costs=costs_by_tile,
+                                store=store.handle if store is not None else None,
+                                batch_tiles=cfg.batch_tiles,
+                                tracer=tracer,
+                                metrics=metrics,
+                            ))
+                    finally:
+                        if store is not None and plan.n_shards > 1:
+                            # Shard-scoped segment: never outlive its shard.
+                            store.close()
+                    for key in solve_keys:
+                        outcome = outcomes[key]
+                        costs = costs_by_tile[key]
+                        placed = [] if outcome.failed else self._placed(costs, outcome.value)
+                        solved[key] = (outcome, placed, len(costs))
+                    # A multi-shard run releases this shard's tables here,
+                    # before the next shard builds its own.
+                    del costs_by_tile
+
+            for tile in prep.dissection.tiles():
+                result.effective_budget[tile.key] = effective[tile.key]
+                if tile.key in solved:
+                    self._merge_outcome(
+                        result, tile.key, *solved[tile.key], method, tracer, metrics
+                    )
+
             if cache is not None:
                 # Record only non-failed fresh solves: failures must
                 # re-run (deterministically) rather than replay, and the
                 # stored report keeps the priming run's retry history so
                 # a warm merge reproduces the cold report bit-for-bit.
-                for key in dispatch_keys:
-                    if not outcomes[key].failed:
+                for key in dispatched:
+                    if not solved[key][0].failed:
                         cache.record(
                             digests[key],
                             result.tile_solutions[key],
@@ -509,122 +609,6 @@ class PILFillEngine:
                 metrics.observe(f"phase.{phase}.seconds", seconds)
         return result
 
-    def _dispatch_solves(
-        self,
-        dispatch_keys: list[tuple[int, int]],
-        costs_by_tile: dict[tuple[int, int], list[ColumnCosts]],
-        effective_budget: Mapping[tuple[int, int], int],
-        run_deadline: float | None,
-        store: "SharedCostStore | None",
-        tracer: TracerLike = NULL_TRACER,
-        metrics: MetricsLike = NULL_METRICS,
-        batch_solver: "Callable[[TileBatch], list[TileOutcome]] | None" = None,
-    ) -> dict[tuple[int, int], TileOutcome]:
-        """Solve ``dispatch_keys`` on the configured backend.
-
-        The shared dispatch core of :meth:`run` and the sharded path
-        (:func:`~repro.pilfill.shard.run_sharded`): builds payloads for
-        the process backend (columns inline only when ``store`` is
-        ``None``) or the in-process solve closures for thread/serial,
-        and returns one :class:`TileOutcome` per key. ``store`` must be
-        scoped by the caller — the whole-grid store for unsharded runs,
-        a shard-scoped one (closed by the caller afterwards) for sharded
-        runs. ``batch_solver`` overrides the pool's batch entry (the
-        sharded path submits
-        :func:`~repro.pilfill.shard.solve_shard_batch`).
-        """
-        cfg = self.config
-        if cfg.parallel_backend == "process":
-            payloads = [
-                make_tile_payload(
-                    key,
-                    costs_by_tile[key],
-                    effective_budget[key],
-                    method=cfg.method,
-                    weighted=cfg.weighted,
-                    ilp_backend=cfg.backend,
-                    seed=cfg.seed,
-                    tile_deadline_s=cfg.tile_deadline_s,
-                    run_deadline=run_deadline,
-                    fault_spec=cfg.fault_spec,
-                    fallback=cfg.fallback,
-                    telemetry=cfg.telemetry,
-                    inline_columns=store is None,
-                )
-                for key in dispatch_keys
-            ]
-            return dispatch_tile_payloads(
-                payloads,
-                workers=cfg.workers,
-                isolate=cfg.fallback,
-                store=store.handle if store is not None else None,
-                batch_tiles=cfg.batch_tiles,
-                persistent=cfg.persistent_pool,
-                tracer=tracer,
-                metrics=metrics,
-                batch_solver=batch_solver,
-            )
-        if cfg.fallback:
-            def solve_one(key: tuple[int, int], attempt: int) -> RobustSolve:
-                # Per-tile tracer/metrics: single-owner, so the
-                # thread pool needs no locks; the merge loop
-                # absorbs them into the run-level telemetry.
-                tile_tracer = Tracer() if cfg.telemetry else None
-                tile_metrics = Metrics() if cfg.telemetry else None
-                robust = solve_tile_robust(
-                    costs_by_tile[key],
-                    cfg.method,
-                    effective_budget[key],
-                    cfg.weighted,
-                    cfg.backend,
-                    tile_rng(cfg.seed, key),
-                    key=key,
-                    tile_deadline_s=cfg.tile_deadline_s,
-                    run_deadline=run_deadline,
-                    fault_spec=cfg.fault_spec,
-                    attempt=attempt,
-                    tracer=tile_tracer,
-                    metrics=tile_metrics,
-                )
-                if tile_tracer is None:
-                    return robust
-                return dataclasses.replace(
-                    robust,
-                    spans=tile_tracer.records(),
-                    metrics=tile_metrics.snapshot() if tile_metrics else None,
-                )
-
-            return dispatch_tiles(
-                dispatch_keys, solve_one, workers=cfg.workers, isolate=cfg.fallback
-            )
-
-        def solve_strict(key: tuple[int, int], attempt: int) -> TileSolution:
-            fault_hooks.inject(key, cfg.method, attempt, cfg.fault_spec)
-            return self._solve_tile(
-                costs_by_tile[key],
-                effective_budget[key],
-                tile_rng(cfg.seed, key),
-                time_limit=effective_time_limit(
-                    cfg.tile_deadline_s, run_deadline
-                ),
-            )
-
-        return dispatch_tiles(
-            dispatch_keys, solve_strict, workers=cfg.workers, isolate=cfg.fallback
-        )
-
-    def _shared_store(self, tracer: TracerLike = NULL_TRACER) -> "SharedCostStore | None":
-        """The shared-memory cost store backing process-pool payloads.
-
-        ``None`` when the run is effectively serial (``workers=1``
-        hydrates in-process, so a store buys nothing) or when the
-        platform offers no shared memory (payloads then carry their
-        columns inline — slower dispatch, identical results).
-        """
-        if self.config.workers <= 1:
-            return None
-        return self.prepared.shared_store_for(self.config.weighted, tracer=tracer)
-
     def _run_deadline(self) -> float | None:
         """Absolute epoch the solve phase must finish by (``time.time()``
         based so worker processes share the same clock)."""
@@ -637,36 +621,28 @@ class PILFillEngine:
         result: FillResult,
         key: tuple[int, int],
         outcome: TileOutcome,
-        costs: list[ColumnCosts],
+        placed: list[FillFeature],
+        n_columns: int,
+        method: str,
         tracer: TracerLike = NULL_TRACER,
         metrics: MetricsLike = NULL_METRICS,
-        *,
-        placed: list[FillFeature] | None = None,
-        n_columns: int | None = None,
     ) -> None:
-        """Fold one tile's outcome into the result: place its features,
-        record timings and the solve report, absorb the tile's telemetry
-        buffer, and turn a failed tile into an explicit empty solution
-        (zero features) rather than a crash.
+        """Fold one tile's outcome into the result: append its buffered
+        ``placed`` features, record timings and the solve report, absorb
+        the tile's telemetry buffer, and turn a failed tile into an
+        explicit empty solution (``n_columns`` zeros) rather than a crash.
 
-        Every solved tile gets a report — including the strict
-        (``fallback=False``) path, which produces no robust-layer report:
-        an ``ok`` report is synthesized there so ``FillResult.clean`` is
+        Every solved tile gets a report: solves that produce no
+        robust-layer report (strict ``fallback=False`` runs, MVDC) get an
+        ``ok`` report requesting ``method``, so ``FillResult.clean`` is
         grounded in evidence rather than vacuously true.
-
-        The sharded path releases each shard's cost tables before this
-        global-order merge runs, so it pre-places features while the
-        tables are alive and hands them in via ``placed`` (with
-        ``n_columns`` sizing a failed tile's empty solution); ``costs``
-        is then unused and may be empty.
         """
         tracer.absorb(outcome.spans)
         metrics.merge(outcome.metrics)
         if outcome.failed:
-            width = n_columns if n_columns is not None else len(costs)
-            solution = TileSolution(counts=[0] * width)
+            solution = TileSolution(counts=[0] * n_columns)
             result.solve_reports[key] = failed_report(
-                key, self.config.method, outcome.retries, outcome.error,
+                key, method, outcome.retries, outcome.error,
                 prior_errors=outcome.error_chain,
             )
             metrics.count("tiles.failed")
@@ -676,8 +652,8 @@ class PILFillEngine:
             if report is None:
                 report = SolveReport(
                     key=key,
-                    requested_method=self.config.method,
-                    used_method=self.config.method,
+                    requested_method=method,
+                    used_method=method,
                     retries=outcome.retries,
                 )
             result.solve_reports[key] = report
@@ -690,121 +666,7 @@ class PILFillEngine:
         result.tile_solutions[key] = solution
         result.tile_seconds[key] = outcome.seconds
         result.model_objective_ps += solution.model_objective_ps
-        if placed is not None:
-            result.features.extend(placed)
-        else:
-            self._place(costs, solution, result.features)
-
-    def run_mvdc(self, slack_fraction: float = 0.25) -> FillResult:
-        """Run the MVDC (minimum variation with delay constraint) variant
-        — the formulation the paper mentions in footnote ‡ but does not
-        develop.
-
-        Per tile, the density step's prescription becomes a *ceiling*
-        rather than an obligation: the solver packs as many features as a
-        per-tile delay budget allows (derived as ``slack_fraction`` of the
-        worst-case impact of the prescribed count). Tiles with generous
-        free space still fill fully; tiles where every site is expensive
-        stop early — trading density uniformity for timing safety.
-        """
-        cfg = self.config
-        telemetry = Telemetry() if cfg.telemetry else None
-        tracer: TracerLike = telemetry.tracer if telemetry is not None else NULL_TRACER
-        metrics: MetricsLike = telemetry.metrics if telemetry is not None else NULL_METRICS
-        prep = self._prepared_traced(tracer)
-        result = FillResult(telemetry=telemetry)
-
-        budget = prep.budget_for(cfg, tracer=tracer)
-        result.requested_budget = dict(budget)
-
-        t0 = time.perf_counter()
-        costs_by_tile = prep.costs_for(cfg.weighted, tracer=tracer)
-        delay_budgets = derive_tile_delay_budgets(budget, costs_by_tile, slack_fraction)
-
-        solve_keys = []
-        for tile in prep.dissection.tiles():
-            want = budget.get(tile.key, 0)
-            if want == 0 or not costs_by_tile.get(tile.key):
-                result.effective_budget[tile.key] = 0
-            else:
-                solve_keys.append(tile.key)
-
-        run_deadline = self._run_deadline()
-        if cfg.parallel_backend == "process":
-            # MVDC in a worker: the payload's budget is the prescription
-            # ceiling; delay_budget_ps switches the worker to the MVDC
-            # solve (plus the same trim the in-process path applies).
-            store = self._shared_store(tracer)
-            payloads = [
-                make_tile_payload(
-                    key,
-                    costs_by_tile[key],
-                    budget.get(key, 0),
-                    method=cfg.method,
-                    weighted=cfg.weighted,
-                    ilp_backend=cfg.backend,
-                    seed=cfg.seed,
-                    delay_budget_ps=delay_budgets[key],
-                    tile_deadline_s=cfg.tile_deadline_s,
-                    run_deadline=run_deadline,
-                    fault_spec=cfg.fault_spec,
-                    fallback=cfg.fallback,
-                    telemetry=cfg.telemetry,
-                    inline_columns=store is None,
-                )
-                for key in solve_keys
-            ]
-            outcomes = dispatch_tile_payloads(
-                payloads,
-                workers=cfg.workers,
-                isolate=cfg.fallback,
-                store=store.handle if store is not None else None,
-                batch_tiles=cfg.batch_tiles,
-                persistent=cfg.persistent_pool,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        else:
-            def solve_one(key: tuple[int, int], attempt: int) -> TileSolution:
-                # MVDC has no fallback chain (its solver is already the
-                # greedy rung); fault hooks + deadlines still apply.
-                fault_hooks.inject(key, "mvdc", attempt, cfg.fault_spec)
-                effective_time_limit(cfg.tile_deadline_s, run_deadline)
-                costs = costs_by_tile[key]
-                solution = solve_tile_mvdc(costs, delay_budgets[key])
-                # MVDC may not *need* the whole prescription; cap at it.
-                want = budget.get(key, 0)
-                if solution.total_features > want:
-                    solution = self._trim_to(costs, solution, want)
-                return solution
-
-            outcomes = dispatch_tiles(
-                solve_keys, solve_one, workers=cfg.workers, isolate=cfg.fallback
-            )
-        for key in solve_keys:
-            outcome = outcomes[key]
-            tracer.absorb(outcome.spans)
-            metrics.merge(outcome.metrics)
-            if outcome.failed:
-                solution = TileSolution(counts=[0] * len(costs_by_tile[key]))
-                result.solve_reports[key] = failed_report(
-                    key, "mvdc", outcome.retries, outcome.error,
-                    prior_errors=outcome.error_chain,
-                )
-            else:
-                solution = outcome.value
-                if outcome.retries > 0:
-                    result.solve_reports[key] = SolveReport(
-                        key=key, requested_method="mvdc", used_method="mvdc",
-                        retries=outcome.retries,
-                    )
-            result.effective_budget[key] = solution.total_features
-            result.tile_solutions[key] = solution
-            result.tile_seconds[key] = outcome.seconds
-            result.model_objective_ps += solution.model_objective_ps
-            self._place(costs_by_tile[key], solution, result.features)
-        self._finish_phases(result, time.perf_counter() - t0)
-        return result
+        result.features.extend(placed)
 
     def run_budgeted(
         self,
@@ -818,9 +680,13 @@ class PILFillEngine:
         are consumed tile by tile: each tile solve sees the remaining
         budget of every net it touches and what it uses is deducted before
         the next tile. Tiles are visited in increasing total-capacity
-        order so constrained tiles claim budget before generous ones —
-        this sequential budget hand-off is inherently serial, so the
-        ``workers`` knob does not apply here.
+        order so constrained tiles claim budget before generous ones.
+
+        This sequential budget hand-off is inherently serial and runs
+        outside the shard-plan solver, so the knobs that only that solver
+        implements — ``workers > 1``, ``shards > 1``, ``fault_spec``,
+        ``telemetry`` and ``solution_cache`` — are rejected with
+        :class:`~repro.errors.FillError` rather than silently ignored.
 
         Args:
             net_budgets_ff: ΔC budget per net name, fF (see
@@ -831,6 +697,21 @@ class PILFillEngine:
                 visible via ``FillResult.shortfall``).
         """
         cfg = self.config
+        unsupported = [
+            name
+            for name, set_ in (
+                ("workers > 1", cfg.workers > 1),
+                ("shards > 1", cfg.shards > 1),
+                ("fault_spec", cfg.fault_spec is not None),
+                ("telemetry", cfg.telemetry),
+                ("solution_cache", cfg.solution_cache is not None),
+            )
+            if set_
+        ]
+        if unsupported:
+            raise FillError(
+                f"run_budgeted is serial and uncached; unsupported: {', '.join(unsupported)}"
+            )
         prep = self.prepared
         result = FillResult()
 
@@ -897,32 +778,6 @@ class PILFillEngine:
             result.tile_solutions[tile.key] = solution
             result.tile_seconds[tile.key] = time.perf_counter() - tick
             result.model_objective_ps += solution.model_objective_ps
-            self._place(costs, solution, result.features)
+            result.features.extend(self._placed(costs, solution))
         self._finish_phases(result, time.perf_counter() - t0)
         return result
-
-    @staticmethod
-    def _trim_to(costs: list[ColumnCosts], solution: TileSolution, want: int) -> TileSolution:
-        """Drop the most expensive granted features until only ``want``
-        remain (see :func:`repro.pilfill.methods.trim_to`)."""
-        return trim_to(costs, solution, want)
-
-    def compute_budget(self) -> dict[tuple[int, int], int]:
-        """Per-tile feature budgets from the density-control baseline
-        (thin wrapper over :meth:`PreparedInstance.budget_for`)."""
-        return self.prepared.budget_for(self.config)
-
-    def _solve_tile(
-        self,
-        costs: list[ColumnCosts],
-        effective: int,
-        rng: random.Random,
-        time_limit: float | None = None,
-    ) -> TileSolution:
-        """Dispatch one tile to the configured method (see
-        :func:`repro.pilfill.methods.solve_tile_method`)."""
-        cfg = self.config
-        return solve_tile_method(
-            costs, cfg.method, effective, cfg.weighted, cfg.backend, rng,
-            time_limit=time_limit,
-        )

@@ -11,17 +11,19 @@ solves out over a worker pool and merges the outcomes deterministically:
   solves the tile or in which order tiles finish. The caller merges
   outcomes in dissection order, so any worker count / backend is
   bit-identical to the serial path.
-* **Two backends.** ``backend="thread"`` shares the read-only cost
-  tables across a thread pool — right for the numeric solvers
-  (scipy/HiGHS) that release the GIL during their solves.
-  ``backend="process"`` ships tiles as compact picklable
-  :class:`TilePayload` s (cost arrays + budget + seed, *not* layout
-  objects) to a process pool — right for the pure-Python methods
-  (Greedy, DP, Normal, bundled branch-and-bound) whose hot loops hold
-  the GIL and gain nothing from threads. The pool is *persistent*
-  (reused across runs), tiles travel in chunked batches, and the cost
-  tables can ride a shared-memory store instead of each payload — see
-  :mod:`repro.pilfill.executor` for the dispatch machinery.
+* **One solve path, two backends.** Every tile is a
+  :class:`TilePayload` (budget + seed + deadlines, *not* layout objects)
+  solved by :func:`solve_tile_payload`. ``backend="thread"`` (and any
+  serial dispatch) hands the solver the caller's prepared cost tables
+  next to a column-less payload and fans out over a thread pool — right
+  for the numeric solvers (scipy/HiGHS) that release the GIL during
+  their solves. ``backend="process"`` ships the payloads to a process
+  pool — right for the pure-Python methods (Greedy, DP, Normal, bundled
+  branch-and-bound) whose hot loops hold the GIL and gain nothing from
+  threads. The pool is *persistent* (reused across runs), tiles travel
+  in chunked batches, and the cost tables ride a shared-memory store
+  instead of each payload — see :mod:`repro.pilfill.executor` for the
+  dispatch machinery.
 * **Per-tile timing.** Every outcome records its solve seconds so the
   hot tiles are visible from the CLI and harness.
 * **Fault isolation.** With ``isolate=True`` (the default) a tile whose
@@ -40,24 +42,24 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import FillError, SolveTimeoutError
 from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike, MetricsSnapshot
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, TracerLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedStoreHandle, TileBatch
+    from repro.pilfill.executor import SharedStoreHandle
 from repro.pilfill.columns import ColumnNeighbor
 from repro.pilfill.costlike import TileCosts
 from repro.pilfill.methods import solve_tile_method, trim_to
-from repro.pilfill.robust import RobustSolve, SolveReport, solve_tile_robust
+from repro.pilfill.robust import SolveReport, solve_tile_robust
+from repro.pilfill.solution import TileSolution
 from repro.testing.faults import FaultSpec
 
 TileKey = tuple[int, int]
-T = TypeVar("T")
 
 #: Accepted values of the ``backend`` knob.
 PARALLEL_BACKENDS = ("thread", "process")
@@ -93,7 +95,7 @@ class TileOutcome:
     """
 
     key: TileKey
-    value: object  # pilfill: allow[C202] -- generic slot for dispatch_tiles results; payload path only ever stores TileSolution | None
+    value: TileSolution | None
     seconds: float
     report: SolveReport | None = None
     error: str | None = None
@@ -176,11 +178,10 @@ class TilePayload:
 def payload_columns(costs: TileCosts) -> tuple[PayloadColumnCosts, ...]:
     """Picklable column tables for one tile's :class:`ColumnCosts` list.
 
-    The conversion is pure data-copying, so callers that dispatch many
-    runs over the same prepared instance cache the result (see
-    :meth:`~repro.pilfill.prepare.PreparedInstance.payload_columns_for`)
-    and ship it through the shared-memory store instead of rebuilding it
-    per payload per run.
+    Process dispatch ships the result once per run through the
+    shared-memory store (see :meth:`~repro.pilfill.prepare.
+    PreparedInstance.shared_store_for`) rather than inside every payload;
+    in-process dispatch needs no conversion at all.
     """
     return tuple(
         PayloadColumnCosts(
@@ -236,12 +237,17 @@ def make_tile_payload(
     )
 
 
-def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
-    """Solve one shipped tile (runs inside a worker process).
+def solve_tile_payload(
+    payload: TilePayload, attempt: int = 0, columns: TileCosts | None = None
+) -> TileOutcome:
+    """Solve one tile — in a pool worker or in the dispatching process.
 
-    Produces the same :class:`TileSolution` the in-process path would:
-    the cost tables are bit-identical copies and the RNG is re-derived
-    from ``(seed, key)``, so the solve is order-, host-, and
+    ``columns`` supplies the tile's cost tables directly (in-process
+    dispatch passes the prepared :class:`~repro.pilfill.costs.
+    ColumnCosts` list, so a column-less payload costs no conversion);
+    otherwise the payload's own ``columns`` are used. Either way the
+    tables are bit-identical and the RNG is re-derived from
+    ``(seed, key)``, so the solve is order-, host-, backend- and
     attempt-independent. ``attempt`` is the dispatcher attempt number
     (threaded to the fault hooks so transient faults fire on the first
     attempt only, regardless of which process runs the retry).
@@ -256,11 +262,8 @@ def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
     tracer: TracerLike = Tracer() if payload.telemetry else NULL_TRACER
     metrics = Metrics() if payload.telemetry else None
     t0 = time.perf_counter()
-    costs = list(payload.columns)
-
-    def done_snapshot() -> MetricsSnapshot | None:
-        return metrics.snapshot() if metrics is not None else None
-
+    costs = columns if columns is not None else list(payload.columns)
+    report: SolveReport | None = None
     if payload.delay_budget_ps is not None:
         from repro.pilfill.mvdc import solve_tile_mvdc
 
@@ -272,12 +275,7 @@ def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
             solution = solve_tile_mvdc(costs, payload.delay_budget_ps)
             if solution.total_features > payload.budget:
                 solution = trim_to(costs, solution, payload.budget)
-        return TileOutcome(
-            key=payload.key, value=solution, seconds=time.perf_counter() - t0,
-            retries=attempt, spans=tracer.records(), metrics=done_snapshot(),
-            pid=os.getpid(),
-        )
-    if payload.fallback:
+    elif payload.fallback:
         robust = solve_tile_robust(
             costs,
             payload.method,
@@ -293,31 +291,30 @@ def solve_tile_payload(payload: TilePayload, attempt: int = 0) -> TileOutcome:
             tracer=tracer,
             metrics=metrics,
         )
-        return TileOutcome(
-            key=payload.key,
-            value=robust.solution,
-            seconds=time.perf_counter() - t0,
-            report=robust.report,
-            retries=attempt,
-            spans=tracer.records(),
-            metrics=done_snapshot(),
-            pid=os.getpid(),
-        )
-    with tracer.span("tile", tile=payload.key, method=payload.method, attempt=attempt):
-        fault_hooks.inject(payload.key, payload.method, attempt, payload.fault_spec)
-        solution = solve_tile_method(
-            costs,
-            payload.method,
-            payload.budget,
-            payload.weighted,
-            payload.ilp_backend,
-            tile_rng(payload.seed, payload.key),
-            time_limit=effective_time_limit(payload.tile_deadline_s, payload.run_deadline),
-            tracer=tracer,
-        )
+        solution, report = robust.solution, robust.report
+    else:
+        with tracer.span("tile", tile=payload.key, method=payload.method, attempt=attempt):
+            fault_hooks.inject(payload.key, payload.method, attempt, payload.fault_spec)
+            solution = solve_tile_method(
+                costs,
+                payload.method,
+                payload.budget,
+                payload.weighted,
+                payload.ilp_backend,
+                tile_rng(payload.seed, payload.key),
+                time_limit=effective_time_limit(
+                    payload.tile_deadline_s, payload.run_deadline
+                ),
+                tracer=tracer,
+            )
     return TileOutcome(
-        key=payload.key, value=solution, seconds=time.perf_counter() - t0,
-        retries=attempt, spans=tracer.records(), metrics=done_snapshot(),
+        key=payload.key,
+        value=solution,
+        seconds=time.perf_counter() - t0,
+        report=report,
+        retries=attempt,
+        spans=tracer.records(),
+        metrics=metrics.snapshot() if metrics is not None else None,
         pid=os.getpid(),
     )
 
@@ -353,6 +350,7 @@ def _failed_outcome(key: TileKey, exc: BaseException, seconds: float, retries: i
 def _solve_payload_isolated(
     payload: TilePayload,
     escalate: tuple[type[BaseException], ...] = (),
+    columns: TileCosts | None = None,
 ) -> TileOutcome:
     """In-process payload solve with the retry-then-fail policy applied.
 
@@ -367,7 +365,7 @@ def _solve_payload_isolated(
     last: BaseException | None = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            return solve_tile_payload(payload, attempt)
+            return solve_tile_payload(payload, attempt, columns)
         except SolveTimeoutError as exc:
             return _failed_outcome(payload.key, exc, time.perf_counter() - t0, attempt)
         except escalate:
@@ -382,175 +380,77 @@ def dispatch_tile_payloads(
     workers: int = 1,
     isolate: bool = True,
     *,
+    backend: str = "process",
+    costs: Mapping[TileKey, TileCosts] | None = None,
     store: "SharedStoreHandle | None" = None,
     batch_tiles: int | None = None,
-    persistent: bool = True,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
-    batch_solver: "Callable[[TileBatch], list[TileOutcome]] | None" = None,
 ) -> dict[TileKey, TileOutcome]:
-    """Solve shipped tiles, serially or on a (persistent) process pool.
+    """Solve tile payloads serially, on a thread pool, or on the
+    persistent process pool.
 
     An empty payload list returns an empty mapping before any pool is
-    touched (a no-fill-needed run must not cost a pool, and
-    ``ProcessPoolExecutor(max_workers=0)`` would raise). ``workers=1``
-    (or a single payload) solves in-process — same code path as the pool
-    workers, so results never depend on the worker count. The returned
+    touched (a no-fill-needed run must not cost a pool). The returned
     mapping is ordered by ``payloads`` regardless of completion order,
-    giving a deterministic merge.
+    giving a deterministic merge; results never depend on the backend or
+    worker count.
 
-    ``workers > 1`` dispatches chunked :class:`~repro.pilfill.executor.
-    TileBatch` submits on the persistent pool for that worker count
-    (``persistent=False`` builds a throwaway pool instead — the
-    pre-persistence behavior). ``store`` names a shared-memory cost
-    store; payloads built with empty ``columns`` are hydrated from it on
-    the worker side, so the big tables cross the pickle boundary once
-    per worker rather than once per tile. ``batch_tiles`` overrides the
-    auto chunk size; ``tracer``/``metrics`` receive per-batch spans and
-    dispatch-cost metrics (payload bytes, batches, broken pools).
+    * ``backend="process"`` with ``workers > 1`` (and more than one
+      payload) dispatches chunked :class:`~repro.pilfill.executor.
+      TileBatch` submits on the persistent pool for that worker count.
+      ``store`` names a shared-memory cost store; payloads built with
+      empty ``columns`` are hydrated from it on the worker side, so the
+      big tables cross the pickle boundary once per worker rather than
+      once per tile. ``batch_tiles`` overrides the auto chunk size;
+      ``tracer``/``metrics`` receive per-batch spans and dispatch-cost
+      metrics (payload bytes, batches, broken pools).
+    * Otherwise the payloads are solved in this process — serially, or
+      over a ``workers``-thread pool for ``backend="thread"``. ``costs``
+      maps tile keys to their prepared cost tables, handed to the solver
+      next to column-less payloads; without it, payload columns (inline
+      or hydrated from ``store``) are used.
 
     With ``isolate=True`` a failing tile is retried once and then
     recorded as a failed :class:`TileOutcome` instead of aborting the
-    sweep. A pool worker that *dies* (broken pool) has its batch — and
-    any batch stranded by the broken pool — re-solved in the parent
-    process, which is attempt 1 of the same deterministic contract.
-    With ``isolate=False`` the first exception propagates.
-
-    ``batch_solver`` substitutes the pool-submitted batch entry point
-    (the sharded path submits its own X301-anchored wrapper). It must be
-    a module-level picklable callable with the same contract as
-    :func:`~repro.pilfill.executor.solve_tile_batch`; the in-process
-    fast path ignores it, since ``workers=1`` never crosses a pickle
-    boundary.
+    sweep; a deadline expiry fails the tile without a retry. A pool
+    worker that *dies* (broken pool) has its batch — and any batch
+    stranded by the broken pool — re-solved in the parent process, which
+    is attempt 1 of the same deterministic contract. With
+    ``isolate=False`` the first exception propagates.
     """
     from repro.pilfill.executor import _hydrate, dispatch_batches, resolve_store
 
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if not payloads:
-        return {}
-    if workers == 1 or len(payloads) <= 1:
-        if store is not None:
-            data = resolve_store(store)
-            payloads = [_hydrate(p, data) for p in payloads]
-        if isolate:
-            return {p.key: _solve_payload_isolated(p) for p in payloads}
-        return {p.key: solve_tile_payload(p) for p in payloads}
-    return dispatch_batches(
-        payloads,
-        workers,
-        isolate,
-        store=store,
-        batch_tiles=batch_tiles,
-        persistent=persistent,
-        tracer=tracer,
-        metrics=metrics,
-        batch_solver=batch_solver,
-    )
-
-
-def dispatch_tiles(
-    keys: Sequence[TileKey],
-    solve_one: Callable[[TileKey, int], T],
-    workers: int = 1,
-    backend: str = "thread",
-    isolate: bool = True,
-) -> dict[TileKey, TileOutcome]:
-    """Solve every tile, serially or on a worker pool.
-
-    Args:
-        keys: tile keys to solve (each must be independent of the others).
-        solve_one: maps ``(tile key, attempt)`` to its solve result; must
-            not mutate shared state. ``attempt`` is 0 on the first try
-            and 1 on the retry — implementations re-derive any RNG from
-            the key (see :func:`tile_rng`) so both attempts draw the same
-            stream. A returned :class:`~repro.pilfill.robust.RobustSolve`
-            is unpacked into the outcome's ``value``/``report``.
-        workers: 1 → plain loop (no executor overhead); >1 → worker pool.
-        backend: ``"thread"`` shares ``solve_one`` across a thread pool;
-            ``"process"`` requires a *picklable* ``solve_one`` (a
-            module-level function or :func:`functools.partial` over one —
-            closures will not pickle). Engine callers use the payload
-            path (:func:`dispatch_tile_payloads`) instead, which ships
-            compact per-tile data rather than pickling shared state.
-        isolate: True → a tile whose solve raises is retried once, then
-            recorded as a failed outcome (``value=None``) — the sweep
-            always completes. :class:`~repro.errors.SolveTimeoutError`
-            skips the retry (a deadline that fired will fire again).
-            False → the first exception propagates (strict mode).
-
-    Returns:
-        Outcomes keyed by tile. The mapping is insertion-ordered by
-        ``keys`` regardless of completion order, so iterating it (or the
-        original key sequence) yields a deterministic merge.
-    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if backend not in PARALLEL_BACKENDS:
         raise FillError(
             f"unknown parallel backend {backend!r}; expected one of {PARALLEL_BACKENDS}"
         )
-    if not keys:
-        # No fill needed anywhere: never build a pool for zero tiles
-        # (ProcessPoolExecutor(max_workers=0) raises ValueError).
+    if not payloads:
         return {}
+    if backend == "process" and workers > 1 and len(payloads) > 1:
+        return dispatch_batches(
+            payloads,
+            workers,
+            isolate,
+            store=store,
+            batch_tiles=batch_tiles,
+            tracer=tracer,
+            metrics=metrics,
+        )
+    if costs is None and store is not None:
+        data = resolve_store(store)
+        payloads = [_hydrate(p, data) for p in payloads]
 
-    def outcome_of(key: TileKey, value: object, seconds: float, attempt: int) -> TileOutcome:
-        if isinstance(value, RobustSolve):
-            return TileOutcome(
-                key=key, value=value.solution, seconds=seconds,
-                report=value.report, retries=attempt,
-                spans=value.spans, metrics=value.metrics,
-            )
-        return TileOutcome(key=key, value=value, seconds=seconds, retries=attempt)
+    def solve(payload: TilePayload) -> TileOutcome:
+        columns = costs[payload.key] if costs is not None else None
+        if isolate:
+            return _solve_payload_isolated(payload, columns=columns)
+        return solve_tile_payload(payload, columns=columns)
 
-    def timed(key: TileKey) -> TileOutcome:
-        t0 = time.perf_counter()
-        if not isolate:
-            return outcome_of(key, solve_one(key, 0), time.perf_counter() - t0, 0)
-        last: BaseException | None = None
-        for attempt in range(MAX_ATTEMPTS):
-            try:
-                value = solve_one(key, attempt)
-            except SolveTimeoutError as exc:
-                return _failed_outcome(key, exc, time.perf_counter() - t0, attempt)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                last = exc
-                continue
-            return outcome_of(key, value, time.perf_counter() - t0, attempt)
-        return _failed_outcome(key, last, time.perf_counter() - t0, MAX_ATTEMPTS - 1)
-
-    if workers == 1 or len(keys) <= 1:
-        return {key: timed(key) for key in keys}
-    if backend == "process":
-        with ProcessPoolExecutor(max_workers=min(workers, len(keys))) as pool:
-            futures = [(key, pool.submit(solve_one, key, 0)) for key in keys]
-            by_key: dict[TileKey, TileOutcome] = {}
-            for key, future in futures:
-                t0 = time.perf_counter()
-                try:
-                    # Parent-side elapsed time: result() returns immediately
-                    # for already-finished futures, so this measures the
-                    # remaining wait, not 0.0 for every tile.
-                    value = future.result()
-                    by_key[key] = outcome_of(key, value, time.perf_counter() - t0, 0)
-                    continue
-                except SolveTimeoutError as exc:
-                    if not isolate:
-                        raise
-                    by_key[key] = _failed_outcome(key, exc, time.perf_counter() - t0, 0)
-                    continue
-                except Exception as exc:  # noqa: BLE001
-                    if not isolate:
-                        raise
-                # Attempt 1 in the parent (the pool may be broken).
-                try:
-                    by_key[key] = outcome_of(
-                        key, solve_one(key, 1), time.perf_counter() - t0, 1
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    by_key[key] = _failed_outcome(key, exc, time.perf_counter() - t0, 1)
-            return {key: by_key[key] for key in keys}
+    if workers == 1 or len(payloads) <= 1:
+        return {p.key: solve(p) for p in payloads}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # map() preserves input order, giving the deterministic merge.
-        return {outcome.key: outcome for outcome in pool.map(timed, keys)}
+        return {outcome.key: outcome for outcome in pool.map(solve, payloads)}

@@ -63,7 +63,6 @@ from repro.tech.rules import DensityRules, FillRules
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pilfill.engine import EngineConfig
     from repro.pilfill.executor import SharedCostStore
-    from repro.pilfill.parallel import PayloadColumnCosts
 
 TileKey = tuple[int, int]
 
@@ -96,9 +95,6 @@ class PreparedInstance:
     )
     _budgets: dict[tuple, dict[TileKey, int]] = field(default_factory=dict, repr=False)
     _lut_caches: dict[bool, LUTCache] = field(default_factory=dict, repr=False)
-    _payload_columns: dict[bool, dict[TileKey, tuple["PayloadColumnCosts", ...]]] = field(
-        default_factory=dict, repr=False
-    )
     _shared_stores: dict[bool, "SharedCostStore | None"] = field(
         default_factory=dict, repr=False
     )
@@ -240,10 +236,10 @@ class PreparedInstance:
     ) -> "SharedCostStore | None":
         """A caller-owned shared-memory store for a subset of tiles.
 
-        The sharded dispatch path builds one per shard and must
-        ``close()`` it when the shard completes — unlike
-        :meth:`shared_store_for`, nothing is cached on the instance, so
-        an unclosed store would linger until garbage collection.
+        A multi-shard solve builds one per shard and must ``close()`` it
+        when the shard completes — unlike :meth:`shared_store_for`,
+        nothing is cached on the instance, so an unclosed store would
+        linger until garbage collection.
         Returns ``None`` where shared memory is unavailable (callers
         fall back to inline payload columns).
         """
@@ -255,21 +251,6 @@ class PreparedInstance:
         return make_shared_store(
             columns, lut_cache.snapshot() if lut_cache is not None else None
         )
-
-    def payload_columns_for(
-        self, weighted: bool, tracer: TracerLike | None = None
-    ) -> dict[TileKey, tuple["PayloadColumnCosts", ...]]:
-        """Picklable per-tile column tables, converted once per
-        ``weighted`` flag and shared by every process-backend run."""
-        cached = self._payload_columns.get(weighted)
-        if cached is not None:
-            return cached
-        from repro.pilfill.parallel import payload_columns
-
-        costs = self.costs_for(weighted, tracer=tracer)
-        converted = {key: payload_columns(cc) for key, cc in costs.items()}
-        self._payload_columns[weighted] = converted
-        return converted
 
     def shared_store_for(
         self, weighted: bool, tracer: TracerLike | None = None
@@ -291,13 +272,7 @@ class PreparedInstance:
             if cached is None or not cached.closed:
                 return cached
             del self._shared_stores[weighted]
-        from repro.pilfill.executor import make_shared_store
-
-        columns = self.payload_columns_for(weighted, tracer=tracer)
-        lut_cache = self._lut_caches.get(weighted)
-        store = make_shared_store(
-            columns, lut_cache.snapshot() if lut_cache is not None else None
-        )
+        store = self.store_for_costs(weighted, self.costs_for(weighted, tracer=tracer))
         self._shared_stores[weighted] = store
         return store
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from repro.errors import SolveTimeoutError, WorkerDeathError
-from repro.obs.metrics import NULL_METRICS, MetricsLike, MetricsSnapshot
-from repro.obs.trace import NULL_TRACER, SpanRecord, TracerLike
+from repro.obs.metrics import NULL_METRICS, MetricsLike
+from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.pilfill.costlike import TileCosts
 from repro.pilfill.solution import TileSolution
 from repro.testing import faults as fault_hooks
@@ -104,17 +104,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class RobustSolve:
-    """A tile solution bundled with its provenance report.
-
-    ``spans`` / ``metrics`` carry the tile-local telemetry buffer back
-    across the worker boundary when telemetry is enabled; both stay
-    empty on the disabled fast path.
-    """
+    """A tile solution bundled with its provenance report (the tile's
+    telemetry rides the enclosing :class:`~repro.pilfill.parallel.
+    TileOutcome`)."""
 
     solution: TileSolution
     report: SolveReport
-    spans: tuple[SpanRecord, ...] = ()
-    metrics: MetricsSnapshot | None = None
 
 
 def effective_time_limit(

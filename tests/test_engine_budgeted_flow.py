@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.errors import FillError
 from repro.pilfill import (
     EngineConfig,
     PILFillEngine,
+    SolutionCache,
     derive_net_cap_budgets,
     evaluate_impact,
 )
 from repro.tech import DensityRules
+from repro.testing.faults import FaultSpec
 
 
 @pytest.fixture
@@ -66,3 +69,45 @@ class TestRunBudgeted:
         # objectives aren't comparable).
         if exact.total_features == greedy.total_features:
             assert exact.model_objective_ps <= greedy.model_objective_ps * (1 + 1e-3) + 1e-9
+
+
+class TestRejectedKnobs:
+    """Every EngineConfig knob a run variant cannot honour is rejected
+    with FillError instead of being silently ignored."""
+
+    @pytest.mark.parametrize(
+        "variant,knobs",
+        [
+            pytest.param("budgeted", {"workers": 2}, id="budgeted-workers"),
+            pytest.param("budgeted", {"shards": 2}, id="budgeted-shards"),
+            pytest.param(
+                "budgeted", {"fault_spec": FaultSpec.single("error")},
+                id="budgeted-fault_spec",
+            ),
+            pytest.param("budgeted", {"telemetry": True}, id="budgeted-telemetry"),
+            pytest.param(
+                "budgeted", {"solution_cache": SolutionCache()},
+                id="budgeted-solution_cache",
+            ),
+            pytest.param(
+                "mvdc", {"solution_cache": SolutionCache()}, id="mvdc-solution_cache"
+            ),
+        ],
+    )
+    def test_unsupported_knob_rejected(
+        self, small_generated_layout, fill_rules, variant, knobs
+    ):
+        cfg = EngineConfig(
+            fill_rules=fill_rules,
+            density_rules=DensityRules(window_size=16000, r=2, max_density=0.6),
+            method="greedy",
+            backend="scipy",
+            **knobs,
+        )
+        engine = PILFillEngine(small_generated_layout, "metal3", cfg)
+        name = next(iter(knobs))
+        with pytest.raises(FillError, match=name):
+            if variant == "budgeted":
+                engine.run_budgeted({})
+            else:
+                engine.run_mvdc(slack_fraction=0.3)

@@ -29,6 +29,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
+import repro.pilfill.executor as executor_module
 from repro.cap.lut import LUTCache, LUTSnapshot
 from repro.errors import FillError
 from repro.pilfill import (
@@ -37,7 +38,6 @@ from repro.pilfill import (
     SlackColumnDef,
     chunk_payloads,
     dispatch_tile_payloads,
-    dispatch_tiles,
     make_shared_store,
     make_tile_payload,
     payload_columns,
@@ -109,14 +109,12 @@ class TestEmptyDispatch:
     def test_empty_payloads_return_empty_before_any_pool(self):
         created_before = pool_stats()["created"]
         assert dispatch_tile_payloads([], workers=2) == {}
-        assert dispatch_tile_payloads([], workers=8, persistent=False) == {}
+        assert dispatch_tile_payloads([], workers=8, backend="thread") == {}
         assert pool_stats()["created"] == created_before
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_empty_keys_return_empty(self, backend):
-        outcome = dispatch_tiles(
-            [], lambda key, attempt: None, workers=4, backend=backend
-        )
+        outcome = dispatch_tile_payloads([], workers=4, backend=backend)
         assert outcome == {}
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
@@ -219,16 +217,6 @@ class TestPoolPersistence:
         assert pids_a and pids_a == pids_b
         assert os.getpid() not in pids_a
         shutdown_pools()
-
-    def test_ephemeral_pool_not_registered(self, prepared, baseline):
-        shutdown_pools()
-        created_before = pool_stats()["created"]
-        payloads = make_payloads(prepared, baseline)
-        outcomes = dispatch_tile_payloads(payloads, workers=2, persistent=False)
-        assert len(outcomes) == len(payloads)
-        stats = pool_stats()
-        assert stats["created"] == created_before  # registry never touched
-        assert stats["live"] == 0
 
     def test_registry_rejects_serial_worker_count(self):
         from repro.pilfill import get_pool
@@ -435,8 +423,8 @@ class TestSharedStore:
 
 
 def _exit_worker(batch):
-    """Pool entry that hard-kills its worker: a *real* worker death (not
-    the injected WorkerDeathError), so the future raises
+    """Stand-in pool entry that hard-kills its worker: a *real* worker
+    death (not the injected WorkerDeathError), so the future raises
     BrokenProcessPool and the dispatcher walks its recovery path."""
     os._exit(1)
 
@@ -460,7 +448,9 @@ class TestStoreLifetime:
             pytest.skip("platform has no usable shared memory")
         return inline, [replace(p, columns=()) for p in inline], store
 
-    def test_broken_pool_releases_store_and_recovers(self, prepared, baseline):
+    def test_broken_pool_releases_store_and_recovers(
+        self, prepared, baseline, monkeypatch
+    ):
         """One real worker death: every batch is re-solved in the parent
         (bit-identical), then the shm segment is unlinked eagerly — no
         /dev/shm leak — and the broken pool is discarded for rebuild."""
@@ -469,13 +459,16 @@ class TestStoreLifetime:
         assert store.handle.name in live_store_names()
         created_before = pool_stats()["created"]
         try:
-            outcomes = dispatch_batches(
-                stripped,
-                workers=2,
-                store=store.handle,
-                batch_tiles=len(stripped),
-                batch_solver=_exit_worker,
-            )
+            with monkeypatch.context() as patch:
+                # The dispatcher submits the module-level pool entry, so
+                # swapping it sends every batch to a dying worker.
+                patch.setattr(executor_module, "solve_tile_batch", _exit_worker)
+                outcomes = dispatch_batches(
+                    stripped,
+                    workers=2,
+                    store=store.handle,
+                    batch_tiles=len(stripped),
+                )
             reference = {
                 o.key: o
                 for o in solve_tile_batch(TileBatch(payloads=tuple(inline)))

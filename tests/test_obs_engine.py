@@ -114,6 +114,36 @@ class TestTelemetryRun:
         assert names.count("tile") == len(result.tile_solutions)
 
 
+    def test_mvdc_run_records_spans_and_metrics(
+        self, small_generated_layout, prepared
+    ):
+        """MVDC runs through the shared pipeline, so its telemetry carries
+        the run/solve spans, the run-level metrics, and a solve report
+        per tile requesting "mvdc"."""
+        result = PILFillEngine(
+            small_generated_layout, "metal3",
+            make_cfg("greedy", telemetry=True), prepared=prepared,
+        ).run_mvdc(slack_fraction=0.3)
+        assert result.tile_solutions
+        names = span_names(result.telemetry.tracer)
+        assert "engine.run" in names
+        assert "solve" in names
+        assert names.count("tile") == len(result.tile_solutions)
+        snapshot = result.telemetry.metrics.snapshot()
+        counters = dict(snapshot.counters)
+        assert counters["features.placed"] == result.total_features
+        assert counters["tiles.solved"] == len(result.tile_solutions)
+        assert any(name.startswith("lut.") for name in counters)
+        timers = dict(snapshot.timers)
+        assert {f"phase.{p}.seconds" for p in ("solve", "costs")} <= set(timers)
+        assert set(result.solve_reports) == set(result.tile_solutions)
+        for report in result.solve_reports.values():
+            assert report.requested_method == "mvdc"
+            assert report.used_method == "mvdc"
+        exported = result.to_report(make_cfg("greedy", telemetry=True))
+        assert {r["requested_method"] for r in exported["solve_reports"]} == {"mvdc"}
+
+
 class TestRunReportExport:
     def test_fault_injected_report_shows_rung_history(
         self, small_generated_layout, prepared, base_run, tmp_path
@@ -134,7 +164,14 @@ class TestRunReportExport:
         write_report(path, result.to_report(cfg))
         report = json.loads(path.read_text())
         assert report["schema"] == "pilfill-run-report/v1"
-        assert report["config"]["method"] == "ilp2"
+        config = report["config"]
+        assert config["method"] == "ilp2"
+        assert config["shards"] == 1
+        assert config["density_backend"] == "direct"
+        assert config["capacity_margin"] == cfg.capacity_margin
+        assert config["target_density"] == "mean"
+        assert config["batch_tiles"] is None
+        assert config["fault_spec"] is True
         assert report["totals"]["degraded_tiles"] == 1
         degraded = [
             r for r in report["solve_reports"] if r["status"] == "degraded"

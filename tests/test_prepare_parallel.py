@@ -7,7 +7,7 @@ Regression targets of the shared-preprocessing/parallel-solve PR:
   column-prefix approximation) and is order-independent,
 * ``run_config`` builds the preprocessing exactly once per configuration,
 * an explicit budget override skips the density-map build,
-* ``_trim_to`` refuses to underflow instead of corrupting counts,
+* ``trim_to`` refuses to underflow instead of corrupting counts,
 * the process-pool backend ships picklable payloads and reproduces the
   serial run bit-for-bit for every method (including MVDC).
 """
@@ -26,7 +26,7 @@ from repro.pilfill import (
     PILFillEngine,
     PreparedInstance,
     TileSolution,
-    dispatch_tiles,
+    dispatch_tile_payloads,
     make_tile_payload,
     prepare,
     solve_tile_payload,
@@ -34,6 +34,7 @@ from repro.pilfill import (
 )
 from repro.pilfill.columns import ColumnNeighbor, SlackColumn
 from repro.pilfill.costs import ColumnCosts
+from repro.pilfill.methods import trim_to
 from repro.synth import default_fill_rules, density_rules_for, make_t1
 from repro.tech import DensityRules
 
@@ -156,7 +157,7 @@ class TestProcessBackend:
 
     def test_dispatch_backend_validated(self):
         with pytest.raises(FillError, match="backend"):
-            dispatch_tiles([(0, 0)], lambda key, attempt: None, workers=2, backend="mpi")
+            dispatch_tile_payloads([], workers=2, backend="mpi")
 
 
 class TestNormalSiteSampling:
@@ -201,14 +202,16 @@ class TestNormalSiteSampling:
 
         keys = sorted(baseline.tile_solutions)
         for order in (keys, list(reversed(keys))):
-            outcomes = dispatch_tiles(
-                order,
-                lambda key, attempt: engine._solve_tile(
-                    costs_by_tile[key],
-                    baseline.effective_budget[key],
-                    tile_rng(cfg.seed, key),
-                ),
-                workers=1,
+            payloads = [
+                make_tile_payload(
+                    key, costs_by_tile[key], baseline.effective_budget[key],
+                    method="normal", weighted=cfg.weighted,
+                    ilp_backend=cfg.backend, seed=cfg.seed, inline_columns=False,
+                )
+                for key in order
+            ]
+            outcomes = dispatch_tile_payloads(
+                payloads, workers=1, backend="thread", costs=costs_by_tile
             )
             for key in keys:
                 assert outcomes[key].value.counts == baseline.tile_solutions[key].counts
@@ -282,7 +285,7 @@ class TestGuards:
 
     def test_dispatch_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):
-            dispatch_tiles([], lambda key, attempt: None, workers=0)
+            dispatch_tile_payloads([], workers=0)
 
     def test_trim_to_underflow_raises(self):
         """A zero-count solution asked to shrink further must raise, not
@@ -298,4 +301,4 @@ class TestGuards:
         # entry the trimmer can take a feature from.
         bad = TileSolution(counts=[0, 2], model_objective_ps=2.0)
         with pytest.raises(FillError, match="trim"):
-            PILFillEngine._trim_to(costs, bad, want=1)
+            trim_to(costs, bad, want=1)

@@ -5,7 +5,7 @@ Regression targets of the sharding PR:
 * :func:`plan_shards` is a deterministic partition — every tile lands in
   exactly one shard, keys are dense and ascending, rows spread evenly,
   ``n_shards`` clamps to the row count (property-tested with hypothesis),
-* the sharded run is **bit-identical** to the unsharded run — features
+* a sharded run is **bit-identical** to the one-shard run — features
   in order, effective budgets, per-tile counts / site indices, and the
   accumulated float objective — across serial/thread/process backends,
   under fault injection, and with the solution cache on (both warm
@@ -36,7 +36,6 @@ from repro.pilfill import (
     plan_shards,
     prepare,
     result_digest,
-    run_sharded,
     shutdown_pools,
 )
 from repro.tech import DensityRules, FillRules
@@ -211,10 +210,9 @@ class TestBitIdentity:
         self, small_generated_layout, prepared, unsharded, shards
     ):
         cfg = make_cfg(shards=shards)
-        engine = PILFillEngine(
+        run = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
-        )
-        run = run_sharded(engine, budget=unsharded.requested_budget)
+        ).run(budget=unsharded.requested_budget)
         assert_bit_identical(run, unsharded)
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
@@ -229,16 +227,28 @@ class TestBitIdentity:
         if backend == "process":
             shutdown_pools()
 
-    def test_single_shard_run_sharded_matches(
-        self, small_generated_layout, prepared, unsharded
+    def test_single_shard_plan_uses_memoized_tables(
+        self, small_generated_layout, prepared, unsharded, monkeypatch
     ):
-        """The run_sharded machinery itself, degenerate single-shard
-        plan (engine.run would not even delegate at shards=1)."""
-        engine = PILFillEngine(
-            small_generated_layout, "metal3", make_cfg(shards=1), prepared=prepared
-        )
-        run = run_sharded(engine, budget=unsharded.requested_budget)
-        assert_bit_identical(run, unsharded)
+        """A one-shard plan solves off the memoized whole-grid cost
+        tables; only a multi-shard plan builds per-shard tables — and
+        both reproduce the reference run."""
+        calls = []
+        build = prepared.costs_for_tiles
+
+        def spy(weighted, keys, tracer=None):
+            calls.append(len(keys))
+            return build(weighted, keys, tracer=tracer)
+
+        monkeypatch.setattr(prepared, "costs_for_tiles", spy)
+        for shards, expected in ((1, 0), (3, 3)):
+            run = PILFillEngine(
+                small_generated_layout, "metal3", make_cfg(shards=shards),
+                prepared=prepared,
+            ).run(budget=unsharded.requested_budget)
+            assert len(calls) == expected, shards
+            calls.clear()
+            assert_bit_identical(run, unsharded)
 
     def test_fault_injection_matches_faulted_unsharded(
         self, small_generated_layout, prepared, unsharded
