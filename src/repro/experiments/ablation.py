@@ -12,9 +12,9 @@ from repro.errors import ReproError
 from repro.layout.layout import RoutedLayout
 from repro.pilfill import (
     EngineConfig,
+    ImpactModel,
     PILFillEngine,
     SlackColumnDef,
-    evaluate_impact,
 )
 from repro.synth import (
     default_fill_rules,
@@ -45,6 +45,7 @@ def ablation_column_definitions(
 ) -> list[ColumnDefRow]:
     """Capacity and delay impact under definitions I/II/III (paper §5.1)."""
     rules = default_fill_rules(layout.stack)
+    model = ImpactModel(layout, layer, rules)
     rows = []
     for definition in SlackColumnDef:
         config = EngineConfig(
@@ -55,7 +56,7 @@ def ablation_column_definitions(
             backend="scipy",
         )
         result = PILFillEngine(layout, layer, config).run()
-        impact = evaluate_impact(layout, layer, result.features, rules)
+        impact = model.score(result.features)
         rows.append(
             ColumnDefRow(
                 definition=definition.value,
@@ -180,6 +181,7 @@ def ablation_capacity_margin(
     """How the budget-headroom knob trades fill amount for method
     distinguishability (see DESIGN.md substitutions)."""
     rules = default_fill_rules(layout.stack)
+    model = ImpactModel(layout, layer, rules)
     rows = []
     for margin in margins:
         budget = None
@@ -195,7 +197,7 @@ def ablation_capacity_margin(
             result = PILFillEngine(layout, layer, config).run(budget=budget)
             if budget is None:
                 budget = result.requested_budget
-            impact = evaluate_impact(layout, layer, result.features, rules)
+            impact = model.score(result.features)
             taus[method] = impact.weighted_total_ps
         rows.append(
             MarginRow(
@@ -252,6 +254,7 @@ def ablation_fill_size(
             fill_gap=round(size * dbu / 2),
             buffer_distance=round(size * dbu / 2),
         )
+        model = ImpactModel(layout, layer, rules)
         budget = None
         taus = {}
         features = 0
@@ -266,7 +269,7 @@ def ablation_fill_size(
             if budget is None:
                 budget = result.requested_budget
                 features = result.total_features
-            impact = evaluate_impact(layout, layer, result.features, rules)
+            impact = model.score(result.features)
             taus[method] = impact.weighted_total_ps
         rows.append(
             FillSizeRow(
@@ -322,6 +325,7 @@ def ablation_seed_sensitivity(
     for seed in seeds:
         layout = generate_layout(t1_spec(seed=seed))
         rules = default_fill_rules(layout.stack)
+        model = ImpactModel(layout, "metal3", rules)
         budget = None
         taus = {}
         for method in ("normal", "ilp2"):
@@ -334,7 +338,7 @@ def ablation_seed_sensitivity(
             result = PILFillEngine(layout, "metal3", config).run(budget=budget)
             if budget is None:
                 budget = result.requested_budget
-            impact = evaluate_impact(layout, "metal3", result.features, rules)
+            impact = model.score(result.features)
             taus[method] = impact.weighted_total_ps
         budget = None
         rows.append(SeedRow(seed=seed, normal_wtau_ps=taus["normal"],

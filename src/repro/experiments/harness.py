@@ -11,6 +11,9 @@ the harness builds one :class:`~repro.pilfill.prepare.PreparedInstance`
 per configuration and hands it to every method's engine — the dissection,
 legality map, density map, slack columns, cost tables, and budget are
 each computed exactly once per configuration instead of once per method.
+Signoff likewise builds one :class:`~repro.pilfill.evaluate.ImpactModel`
+per configuration (one sweep, one gap-block index) and scores every
+method's placement against it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.layout.layout import RoutedLayout
 from repro.pilfill.columns import SlackColumnDef
 from repro.pilfill.engine import EngineConfig, PILFillEngine
-from repro.pilfill.evaluate import evaluate_impact
+from repro.pilfill.evaluate import ImpactModel
 from repro.pilfill.incremental import SolutionCache
 from repro.pilfill.prepare import PreparedInstance, prepare
 from repro.tech.rules import FillRules
@@ -158,6 +161,7 @@ def run_config(
         )
 
     result = ConfigResult(testcase=testcase, window_um=window_um, r=r, budget_total=0)
+    model = ImpactModel(layout, layer, fill_rules)
     budget = None
     for method in methods:
         cfg = EngineConfig(
@@ -185,7 +189,7 @@ def run_config(
         if budget is None:
             budget = run.requested_budget
             result.budget_total = sum(budget.values())
-        impact = evaluate_impact(layout, layer, run.features, fill_rules)
+        impact = model.score(run.features)
         result.outcomes[method] = MethodOutcome(
             method=method,
             tau_ps=impact.total_ps,

@@ -28,7 +28,7 @@ from repro.geometry import Rect
 from repro.layout.layout import FillFeature
 from repro.layout.rctree import OHM_FF_TO_PS
 from repro.pilfill.columns import SlackColumn
-from repro.pilfill.impact_model import ImpactModel
+from repro.pilfill.evaluate import ImpactModel
 
 
 @dataclass
@@ -81,7 +81,7 @@ class _Group:
 def _group_coeff(model: ImpactModel, block_id: int, along: int) -> tuple[float, float | None]:
     """(cost coefficient, gap_um) of a group in block ``block_id`` whose
     column center sits at along-axis coordinate ``along``."""
-    block = model._blocks[block_id]
+    block = model.blocks[block_id]
     if block.below is None or block.above is None:
         return 0.0, None
     coeff = 0.0
@@ -91,8 +91,8 @@ def _group_coeff(model: ImpactModel, block_id: int, along: int) -> tuple[float, 
                 sweep_line.timing.downstream_sinks
                 * sweep_line.timing.resistance_at(along)
             )
-    coeff *= OHM_FF_TO_PS * model._eps_r * model._thickness
-    return coeff, block.gap / model._dbu
+    coeff *= OHM_FF_TO_PS * model.eps_r * model.thickness_um
+    return coeff, block.gap / model.dbu
 
 
 def refine_placement(
@@ -110,7 +110,7 @@ def refine_placement(
         result.final_wtau_ps = result.initial_wtau_ps
         return result
 
-    fill_w_um = model._fill_w_um
+    fill_w_um = model.fill_w_um
     groups: dict[tuple, _Group] = {}
     site_group: dict[Rect, _Group] = {}
 
@@ -130,7 +130,7 @@ def refine_placement(
             probe = FillFeature(layer=layer, rect=col.sites[0])
             state = model.locate(probe)
             center = col.sites[0].center
-            along = center.x if model._horizontal else center.y
+            along = center.x if model.horizontal else center.y
             group = group_for(state.block_id, state.col, along)
             for rect in col.sites:
                 site_group[rect] = group
@@ -143,7 +143,7 @@ def refine_placement(
         if group is None:
             state = model.locate(feature)
             center = feature.rect.center
-            along = center.x if model._horizontal else center.y
+            along = center.x if model.horizontal else center.y
             group = group_for(state.block_id, state.col, along)
         else:
             if feature.rect in group.free_by_tile[tile]:

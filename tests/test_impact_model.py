@@ -1,35 +1,49 @@
-"""Incremental impact model vs the batch evaluator."""
+"""The delay-impact scorer: one reusable model against the one-shot
+``evaluate_impact``, marginal costs, and the harness's one model per
+configuration."""
+
+import dataclasses
 
 import pytest
 
 from repro.errors import FillError
+from repro.experiments import run_config
 from repro.geometry import Rect
 from repro.layout import FillFeature
 from repro.pilfill import EngineConfig, ImpactModel, PILFillEngine, evaluate_impact
 from repro.tech import DensityRules
+from tests.test_vertical_layer import build_two_vertical_lines
+
+
+def engine_placement(layout, layer, method, window, fill_rules):
+    cfg = EngineConfig(
+        fill_rules=fill_rules,
+        density_rules=DensityRules(window_size=window, r=2, max_density=0.6),
+        method=method,
+        backend="scipy",
+    )
+    return PILFillEngine(layout, layer, cfg).run().features
 
 
 class TestAgainstBatchEvaluator:
-    def test_identical_on_engine_placement(self, small_generated_layout, fill_rules):
-        cfg = EngineConfig(
-            fill_rules=fill_rules,
-            density_rules=DensityRules(window_size=16000, r=2, max_density=0.6),
-            method="greedy",
-            backend="scipy",
-        )
-        result = PILFillEngine(small_generated_layout, "metal3", cfg).run()
-        batch = evaluate_impact(small_generated_layout, "metal3", result.features, fill_rules)
-        model = ImpactModel(small_generated_layout, "metal3", fill_rules)
-        incremental = model.score(result.features)
-        assert incremental.total_ps == pytest.approx(batch.total_ps)
-        assert incremental.weighted_total_ps == pytest.approx(batch.weighted_total_ps)
-        assert incremental.features_scored == batch.features_scored
-        assert incremental.features_free == batch.features_free
-        assert incremental.columns == batch.columns
-        for net, value in batch.per_net_weighted_ps.items():
-            assert incremental.per_net_weighted_ps[net] == pytest.approx(value)
-        for net, value in batch.per_net_ps.items():
-            assert incremental.per_net_ps[net] == pytest.approx(value)
+    def test_identical_on_engine_placement(self, stack, small_generated_layout, fill_rules):
+        """On a horizontal (metal3) and a vertical (metal4) layer, a reused
+        model (warm locate cache) scores exactly like the one-shot
+        ``evaluate_impact``."""
+        vertical_layout = build_two_vertical_lines(stack)
+        cases = [
+            (small_generated_layout, "metal3", "greedy", 16000),
+            (vertical_layout, "metal4", "normal", 20000),
+        ]
+        for layout, layer, method, window in cases:
+            features = engine_placement(layout, layer, method, window, fill_rules)
+            batch = evaluate_impact(layout, layer, features, fill_rules)
+            model = ImpactModel(layout, layer, fill_rules)
+            model.score(features[::2])
+            incremental = model.score(features)
+            assert incremental.total_ps > 0.0
+            assert dataclasses.asdict(incremental) == dataclasses.asdict(batch)
+            assert list(incremental.per_net_ps) == list(batch.per_net_ps)
 
     def test_empty_placement(self, two_line_layout, fill_rules):
         model = ImpactModel(two_line_layout, "metal3", fill_rules)
@@ -86,6 +100,18 @@ class TestMarginalCost:
             total += model.marginal_cost_ps(f, existing=feats[:i])
         assert total == pytest.approx(model.score(feats).weighted_total_ps)
 
+    def test_other_layer_zero_marginal(self, two_line_layout, fill_rules):
+        """A metal2 feature inside the metal3 gap is not scored on metal3."""
+        segs = two_line_layout.segments_on_layer("metal3")
+        gap_lo = min(s.rect.yhi for s in segs)
+        feature = FillFeature("metal2", Rect(20000, gap_lo + 1000, 20500, gap_lo + 1500))
+        model = ImpactModel(two_line_layout, "metal3", fill_rules)
+        assert model.score([feature]).weighted_total_ps == 0.0
+        assert evaluate_impact(two_line_layout, "metal3", [feature], fill_rules).total_ps == 0.0
+        assert model.marginal_cost_ps(feature) == 0.0
+        on_layer = FillFeature("metal3", feature.rect)
+        assert model.marginal_cost_ps(feature, existing=[on_layer]) == 0.0
+
     def test_free_feature_zero_marginal(self, two_line_layout, fill_rules):
         feature = FillFeature("metal3", Rect(20000, 1000, 20500, 1500))
         model = ImpactModel(two_line_layout, "metal3", fill_rules)
@@ -101,3 +127,35 @@ class TestMarginalCost:
     def test_block_count_positive(self, two_line_layout, fill_rules):
         model = ImpactModel(two_line_layout, "metal3", fill_rules)
         assert model.block_count >= 3
+
+
+class TestHarnessScoring:
+    def test_one_model_per_configuration(self, small_generated_layout, monkeypatch):
+        built = []
+        scored = []
+        init, score = ImpactModel.__init__, ImpactModel.score
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def recording_score(self, features):
+            scored.append(list(features))
+            return score(self, features)
+
+        monkeypatch.setattr(ImpactModel, "__init__", counting_init)
+        monkeypatch.setattr(ImpactModel, "score", recording_score)
+        methods = ("normal", "ilp1", "ilp2", "greedy")
+        result = run_config(small_generated_layout, "small", window_um=16, r=2,
+                            methods=methods)
+        assert len(built) == 1
+        assert len(scored) == len(methods)
+        model = built[0]
+        for method, features in zip(methods, scored):
+            reference = evaluate_impact(
+                small_generated_layout, model.layer, features, model.rules
+            )
+            outcome = result.outcomes[method]
+            assert outcome.features == len(features)
+            assert outcome.tau_ps == reference.total_ps
+            assert outcome.weighted_tau_ps == reference.weighted_total_ps
