@@ -106,11 +106,9 @@ def run_config(
     seed: int = 0,
     workers: int = 1,
     parallel_backend: str = "thread",
-    batch_tiles: int | None = None,
     prepared: PreparedInstance | None = None,
     tile_deadline_s: float | None = None,
     run_deadline_s: float | None = None,
-    fallback: bool = True,
     fault_spec=None,
     telemetry: bool = False,
     cache_dir: str | None = None,
@@ -125,13 +123,9 @@ def run_config(
             engine (see :class:`EngineConfig`).
         parallel_backend: ``"thread"`` or ``"process"`` (see
             :class:`EngineConfig`); only meaningful with ``workers > 1``.
-        batch_tiles: tiles per process-pool submit (None auto-sizes; see
-            :class:`EngineConfig`).
         prepared: preprocessing to reuse; built once here when omitted.
         tile_deadline_s: per-tile solve deadline (see :class:`EngineConfig`).
         run_deadline_s: whole-solve-phase deadline, applied per method run.
-        fallback: robust solving with method degradation (default) vs
-            strict first-failure-propagates mode.
         fault_spec: deterministic fault injection for tests.
         telemetry: record tracing spans + metrics per method run and
             attach each run's JSON report to its :class:`MethodOutcome`.
@@ -175,10 +169,8 @@ def run_config(
             seed=seed,
             workers=workers,
             parallel_backend=parallel_backend,
-            batch_tiles=batch_tiles,
             tile_deadline_s=tile_deadline_s,
             run_deadline_s=run_deadline_s,
-            fallback=fallback,
             fault_spec=fault_spec,
             telemetry=telemetry,
             solution_cache=solution_cache,

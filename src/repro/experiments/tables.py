@@ -34,13 +34,9 @@ class TableSpec:
     workers: int = 1
     #: ``"thread"`` or ``"process"`` — how workers run (see EngineConfig).
     parallel_backend: str = "thread"
-    #: Tiles per process-pool submit; None auto-sizes (see EngineConfig).
-    batch_tiles: int | None = None
     #: Per-tile / per-run wall-clock deadlines (seconds; see EngineConfig).
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
-    #: Robust solving (method degradation + fault isolation) — default on.
-    fallback: bool = True
     #: Deterministic fault injection for tests (repro.testing.faults).
     fault_spec: object | None = None
     #: Record spans + metrics per method run; each cell's outcome then
@@ -193,10 +189,8 @@ def run_table(
                     seed=spec.seed,
                     workers=spec.workers,
                     parallel_backend=spec.parallel_backend,
-                    batch_tiles=spec.batch_tiles,
                     tile_deadline_s=spec.tile_deadline_s,
                     run_deadline_s=spec.run_deadline_s,
-                    fallback=spec.fallback,
                     fault_spec=spec.fault_spec,
                     telemetry=spec.telemetry,
                     cache_dir=spec.cache_dir,

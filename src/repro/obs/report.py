@@ -39,11 +39,9 @@ def config_dict(config: EngineConfig) -> dict[str, Any]:
         "seed": config.seed,
         "workers": config.workers,
         "parallel_backend": config.parallel_backend,
-        "batch_tiles": config.batch_tiles,
         "shards": config.shards,
         "tile_deadline_s": config.tile_deadline_s,
         "run_deadline_s": config.run_deadline_s,
-        "fallback": config.fallback,
         "fault_spec": config.fault_spec is not None,
         "telemetry": config.telemetry,
         "solution_cache": config.solution_cache is not None,

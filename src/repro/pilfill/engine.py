@@ -81,6 +81,11 @@ PHASES = ("setup", "scanline", "density", "costs", "budget", "solve")
 class EngineConfig:
     """Configuration of one PIL-Fill run.
 
+    Solving is always robust (:mod:`repro.pilfill.robust`): per-tile
+    failures degrade to cheaper methods, crashed workers are retried
+    once with the same derived RNG, and the sweep always completes, with
+    every substitution recorded in ``FillResult.solve_reports``.
+
     Attributes:
         fill_rules: fill feature size / gap / buffer distance.
         density_rules: window size, dissection value r, density bounds.
@@ -119,18 +124,14 @@ class EngineConfig:
             backend solves the same per-tile payloads (budget + seed +
             deadlines, no layout objects). Serial and thread runs hand
             the solver the prepared cost tables directly; the process
-            backend ships payloads in chunked batches to a persistent
-            pool (created lazily per worker count, released via
-            :func:`repro.pilfill.executor.shutdown_pools`), with the cost
-            tables and LUT arrays riding a shared-memory store that
-            crosses the pickle boundary once per worker instead of once
-            per tile. Results are bit-identical to serial for every
-            method.
-        batch_tiles: tiles per process-pool submit. ``None`` (default)
-            auto-sizes to a few batches per worker, capped at 64 —
-            dozens of tiles per future instead of one, so dispatch
-            overhead stops swamping the tiny per-tile solves. Chunking
-            never affects results.
+            backend ships payloads in auto-sized batches (a few per
+            worker, at most 64 tiles; see :func:`~repro.pilfill.executor.
+            chunk_payloads`) to a persistent pool (created lazily per
+            worker count, released via :func:`repro.pilfill.executor.
+            shutdown_pools`), with the cost tables and LUT arrays riding
+            a shared-memory store that crosses the pickle boundary once
+            per worker instead of once per tile. Results are
+            bit-identical to serial for every method.
         tile_deadline_s: wall-clock deadline per tile solve (seconds).
             An ILP attempt exceeding it surfaces ``TIME_LIMIT`` and the
             tile degrades down the fallback chain (ILP-II → ILP-I →
@@ -140,13 +141,6 @@ class EngineConfig:
             deadline and the remaining run time; tiles starting after
             the deadline are recorded as failed (zero features), never
             solved. ``None`` (default) → unlimited.
-        fallback: True (default) → robust solving: per-tile failures
-            degrade to cheaper methods, crashed workers are retried once
-            with the same derived RNG, and the sweep always completes,
-            with every substitution recorded in
-            ``FillResult.solve_reports``. False → strict mode: the first
-            failure propagates (previous behavior). Successful solves
-            are identical either way.
         fault_spec: deterministic fault injection for tests (see
             :mod:`repro.testing.faults`); ``None`` in production.
         telemetry: True → record tracing spans and metrics for the run
@@ -189,10 +183,8 @@ class EngineConfig:
     seed: int = 0
     workers: int = 1
     parallel_backend: str = "thread"
-    batch_tiles: int | None = None
     tile_deadline_s: float | None = None
     run_deadline_s: float | None = None
-    fallback: bool = True
     fault_spec: FaultSpec | None = None
     telemetry: bool = False
     solution_cache: SolutionCache | None = None
@@ -220,8 +212,6 @@ class EngineConfig:
             raise FillError(f"workers must be >= 1, got {self.workers}")
         if self.shards < 1:
             raise FillError(f"shards must be >= 1, got {self.shards}")
-        if self.batch_tiles is not None and self.batch_tiles < 1:
-            raise FillError(f"batch_tiles must be >= 1, got {self.batch_tiles}")
         if self.parallel_backend not in PARALLEL_BACKENDS:
             raise FillError(
                 f"unknown parallel backend {self.parallel_backend!r}; "
@@ -431,7 +421,7 @@ class PILFillEngine:
         A one-shard plan uses the memoized whole-grid cost tables and
         shared store; a multi-shard plan builds each shard's tables and
         store on demand and closes the store when the shard completes.
-        ``mvdc_fraction`` switches the payloads to the MVDC solve with
+        ``mvdc_fraction`` switches the payloads to ``method="mvdc"`` with
         per-tile delay budgets derived from that slack fraction.
         """
         cfg = self.config
@@ -531,7 +521,7 @@ class PILFillEngine:
                             key,
                             costs_by_tile[key],
                             effective[key],
-                            method=cfg.method,
+                            method=method,
                             weighted=cfg.weighted,
                             ilp_backend=cfg.backend,
                             seed=cfg.seed,
@@ -539,7 +529,6 @@ class PILFillEngine:
                             tile_deadline_s=cfg.tile_deadline_s,
                             run_deadline=run_deadline,
                             fault_spec=cfg.fault_spec,
-                            fallback=cfg.fallback,
                             telemetry=cfg.telemetry,
                             inline_columns=ship and store is None,
                         )
@@ -553,11 +542,9 @@ class PILFillEngine:
                             outcomes.update(dispatch_tile_payloads(
                                 payloads,
                                 workers=cfg.workers,
-                                isolate=cfg.fallback,
                                 backend=cfg.parallel_backend,
                                 costs=costs_by_tile,
                                 store=store.handle if store is not None else None,
-                                batch_tiles=cfg.batch_tiles,
                                 tracer=tracer,
                                 metrics=metrics,
                             ))
@@ -630,12 +617,9 @@ class PILFillEngine:
         """Fold one tile's outcome into the result: append its buffered
         ``placed`` features, record timings and the solve report, absorb
         the tile's telemetry buffer, and turn a failed tile into an
-        explicit empty solution (``n_columns`` zeros) rather than a crash.
-
-        Every solved tile gets a report: solves that produce no
-        robust-layer report (strict ``fallback=False`` runs, MVDC) get an
-        ``ok`` report requesting ``method``, so ``FillResult.clean`` is
-        grounded in evidence rather than vacuously true.
+        explicit empty solution (``n_columns`` zeros) with a failed
+        report requesting ``method``, rather than a crash. A solved tile
+        keeps the report its robust solve (or cache hit) produced.
         """
         tracer.absorb(outcome.spans)
         metrics.merge(outcome.metrics)
@@ -649,13 +633,6 @@ class PILFillEngine:
         else:
             solution = outcome.value
             report = outcome.report
-            if report is None:
-                report = SolveReport(
-                    key=key,
-                    requested_method=method,
-                    used_method=method,
-                    retries=outcome.retries,
-                )
             result.solve_reports[key] = report
             metrics.count("tiles.solved")
             if report.degraded:
@@ -748,7 +725,7 @@ class PILFillEngine:
                     f"TIME_LIMIT: {exc}",
                 )
                 continue
-            cap_tables = build_cap_tables(costs)
+            cap_tables = build_cap_tables(costs, cfg.weighted)
             if exact:
                 outcome = solve_tile_budgeted_ilp(
                     costs, cap_tables, effective, remaining,

@@ -59,7 +59,7 @@ from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Mapping, Sequence
 from weakref import finalize, ref
 
-from repro.errors import FillError, SolveTimeoutError, WorkerDeathError
+from repro.errors import FillError, WorkerDeathError
 from repro.obs.metrics import NULL_METRICS, MetricsLike
 from repro.obs.trace import NULL_TRACER, TracerLike
 
@@ -335,13 +335,10 @@ class TileBatch:
     """Dozens of tile tasks shipped as one pool submit.
 
     ``store`` is ``None`` when the payloads carry their columns inline.
-    ``isolate`` selects the retry-then-record policy inside the worker
-    (mirroring the serial dispatcher) versus fail-fast strict mode.
     """
 
     payloads: tuple[TilePayload, ...]
     store: SharedStoreHandle | None = None
-    isolate: bool = True
 
 
 def _worker_init(handle: SharedStoreHandle | None) -> None:
@@ -362,30 +359,24 @@ def solve_tile_batch(batch: TileBatch) -> list[TileOutcome]:
     """Solve one batch inside a pool worker (also run in-process by the
     parent for serial dispatch and broken-pool recovery).
 
-    Per-tile policy under ``isolate``: a deadline expiry is recorded as a
-    ``TIME_LIMIT`` failed outcome (a deadline that fired will fire
-    again, and the batch's remaining tiles still deserve their turn); any
-    other solve error is retried once in place with the same derived RNG
-    and then recorded as failed. Only
+    Per-tile policy, the same as the serial dispatcher's: a deadline
+    expiry is recorded as a ``TIME_LIMIT`` failed outcome (a deadline
+    that fired will fire again, and the batch's remaining tiles still
+    deserve their turn); any other solve error is retried once in place
+    with the same derived RNG and then recorded as failed. Only
     :class:`~repro.errors.WorkerDeathError` escapes — nothing inside a
     dead worker can run recovery code, so the *parent* re-solves the
     whole batch (see :func:`dispatch_batches`). Exactly one outcome per
     tile ever leaves this function, so the parent can never merge a
     failed attempt's telemetry buffers alongside the retry's.
     """
-    from repro.pilfill.parallel import _solve_payload_isolated, solve_tile_payload
+    from repro.pilfill.parallel import _solve_payload_isolated
 
     data = resolve_store(batch.store) if batch.store is not None else None
-    outcomes: list[TileOutcome] = []
-    for payload in batch.payloads:
-        hydrated = _hydrate(payload, data)
-        if batch.isolate:
-            outcomes.append(
-                _solve_payload_isolated(hydrated, escalate=(WorkerDeathError,))
-            )
-        else:
-            outcomes.append(solve_tile_payload(hydrated))
-    return outcomes
+    return [
+        _solve_payload_isolated(_hydrate(payload, data), escalate=(WorkerDeathError,))
+        for payload in batch.payloads
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +480,26 @@ atexit.register(shutdown_pools)
 
 
 def chunk_payloads(
-    payloads: Sequence[TilePayload], workers: int, batch_tiles: int | None = None
+    payloads: Sequence[TilePayload], workers: int
 ) -> list[tuple[TilePayload, ...]]:
     """Split ``payloads`` into submit-sized chunks, preserving order.
 
-    ``batch_tiles=None`` auto-sizes: enough batches that every worker
-    gets ~:data:`BATCHES_PER_WORKER` of them (so one slow batch cannot
-    idle the rest of the pool), capped at :data:`MAX_AUTO_BATCH` tiles
-    per submit. Chunking never affects results — only how many futures
-    carry them.
+    Enough batches that every worker gets ~:data:`BATCHES_PER_WORKER` of
+    them (so one slow batch cannot idle the rest of the pool), capped at
+    :data:`MAX_AUTO_BATCH` tiles per submit. Chunking never affects
+    results — only how many futures carry them.
     """
     n = len(payloads)
-    if n == 0:
-        return []
-    if batch_tiles is None:
-        per_batch = -(-n // (workers * BATCHES_PER_WORKER))  # ceil div
-        batch_tiles = max(1, min(MAX_AUTO_BATCH, per_batch))
-    elif batch_tiles < 1:
-        raise FillError(f"batch_tiles must be >= 1, got {batch_tiles}")
-    return [tuple(payloads[i : i + batch_tiles]) for i in range(0, n, batch_tiles)]
+    per_batch = -(-n // (workers * BATCHES_PER_WORKER))  # ceil div
+    size = max(1, min(MAX_AUTO_BATCH, per_batch))
+    return [tuple(payloads[i : i + size]) for i in range(0, n, size)]
 
 
 def dispatch_batches(
     payloads: Sequence[TilePayload],
     workers: int,
-    isolate: bool = True,
     *,
     store: SharedStoreHandle | None = None,
-    batch_tiles: int | None = None,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
 ) -> dict[TileKey, TileOutcome]:
@@ -527,7 +510,6 @@ def dispatch_batches(
     is deterministic no matter how the pool schedules batches. Failure
     policy per batch future:
 
-    * ``isolate=False``: the first exception propagates (strict mode).
     * :class:`BrokenProcessPool` (a worker actually died): the broken
       pool is discarded from the registry, and this batch — plus any
       batch stranded behind it — is re-solved *in the parent* at attempt
@@ -550,8 +532,8 @@ def dispatch_batches(
     recovered: :func:`_resolve_batch_in_parent` needs the segment alive.
     """
     batches = [
-        TileBatch(payloads=chunk, store=store, isolate=isolate)
-        for chunk in chunk_payloads(payloads, workers, batch_tiles)
+        TileBatch(payloads=chunk, store=store)
+        for chunk in chunk_payloads(payloads, workers)
     ]
     if not batches:
         return {}
@@ -576,20 +558,12 @@ def dispatch_batches(
         with tracer.span("solve.batch", index=index, tiles=len(batch.payloads)):
             try:
                 outcomes = future.result()
-            except SolveTimeoutError:
-                if not isolate:
-                    raise
-                outcomes = _resolve_batch_in_parent(batch, store)
             except BrokenProcessPool:
-                if not isolate:
-                    raise
                 broken = True
                 discard_pool(workers)
                 metrics.count("pool.broken")
                 outcomes = _resolve_batch_in_parent(batch, store)
             except Exception:  # noqa: BLE001 - isolation is the point
-                if not isolate:
-                    raise
                 outcomes = _resolve_batch_in_parent(batch, store)
         for outcome in outcomes:
             by_key[outcome.key] = outcome

@@ -3,7 +3,7 @@
 Per-tile MDFC solves are pure functions of their local inputs: the
 column geometry + cost tables inside the tile, the tile's effective
 budget, the solve knobs that change output (method, weighting, ILP
-backend, seed, fallback policy, fault spec), and the tile key itself
+backend, seed, fault spec), and the tile key itself
 (the deterministic per-tile RNG stream and fault matching both hang off
 it). This module hashes exactly those inputs — mirroring the digest
 pattern of :mod:`repro.analysis.cache` — and fronts a
@@ -86,7 +86,7 @@ def run_context_digest(config: "EngineConfig", layer: str) -> str:
 
     Includes every :class:`EngineConfig` field that changes solve
     *output* and excludes the ones that only change *scheduling*
-    (workers, parallel backend, batching, telemetry) — the bit-identity
+    (workers, parallel backend, shards, telemetry) — the bit-identity
     contract across dispatchers is what makes that exclusion sound.
     ``density_backend`` is likewise excluded: the FFT path's canonical
     rounding makes budgets bit-identical to the direct oracle, and the
@@ -104,7 +104,6 @@ def run_context_digest(config: "EngineConfig", layer: str) -> str:
         "weighted": config.weighted,
         "ilp_backend": config.backend,
         "seed": config.seed,
-        "fallback": config.fallback,
         "fill_rules": [rules.fill_size, rules.fill_gap, rules.buffer_distance],
         "density_rules": [
             density.window_size,

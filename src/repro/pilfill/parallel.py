@@ -26,15 +26,14 @@ solves out over a worker pool and merges the outcomes deterministically:
   dispatch machinery.
 * **Per-tile timing.** Every outcome records its solve seconds so the
   hot tiles are visible from the CLI and harness.
-* **Fault isolation.** With ``isolate=True`` (the default) a tile whose
-  solve raises — or whose pool worker dies — never aborts the sweep: the
-  dispatcher retries the tile once with the same derived RNG (attempt
-  numbers, not shared counters, drive the retry so the contract holds
-  across process boundaries), and records a failed
-  :class:`TileOutcome` (``value=None``, ``error`` set) if the retry also
-  fails. Timeouts are the exception: a deadline that fired once will
-  fire again, so :class:`~repro.errors.SolveTimeoutError` fails the
-  tile without a retry.
+* **Fault isolation.** A tile whose solve raises — or whose pool worker
+  dies — never aborts the sweep: the dispatcher retries the tile once
+  with the same derived RNG (attempt numbers, not shared counters, drive
+  the retry so the contract holds across process boundaries), and
+  records a failed :class:`TileOutcome` (``value=None``, ``error`` set)
+  if the retry also fails. Timeouts are the exception: a deadline that
+  fired once will fire again, so :class:`~repro.errors.SolveTimeoutError`
+  fails the tile without a retry.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pilfill.executor import SharedStoreHandle
 from repro.pilfill.columns import ColumnNeighbor
 from repro.pilfill.costlike import TileCosts
-from repro.pilfill.methods import solve_tile_method, trim_to
 from repro.pilfill.robust import SolveReport, solve_tile_robust
 from repro.pilfill.solution import TileSolution
 from repro.testing.faults import FaultSpec
@@ -64,7 +62,7 @@ TileKey = tuple[int, int]
 #: Accepted values of the ``backend`` knob.
 PARALLEL_BACKENDS = ("thread", "process")
 
-#: Dispatcher attempts per tile under ``isolate=True`` (1 + one retry).
+#: Dispatcher attempts per tile (1 + one retry).
 MAX_ATTEMPTS = 2
 
 
@@ -85,9 +83,8 @@ class TileOutcome:
     ``value`` is ``None`` when every attempt failed (``error`` then holds
     the last failure — prefixed ``TIME_LIMIT:`` for deadline expiries —
     ``error_chain`` the fallback-rung history that preceded it, and
-    ``retries`` how many retries were spent). When the solve went through
-    the robust layer, ``report`` carries its
-    :class:`~repro.pilfill.robust.SolveReport`. ``spans`` / ``metrics``
+    ``retries`` how many retries were spent); otherwise ``report`` carries
+    the tile's :class:`~repro.pilfill.robust.SolveReport`. ``spans`` / ``metrics``
     marshal the tile-local telemetry buffer back from pool workers; both
     stay empty when telemetry is off. ``pid`` records the process that
     produced the outcome, so pool reuse (stable worker PIDs across
@@ -155,9 +152,9 @@ class TilePayload:
 
     Built from the engine's prepared cost tables by
     :func:`make_tile_payload`; deliberately contains no layout, engine,
-    or dissection objects so pickling stays cheap. ``delay_budget_ps``
-    switches the worker to the MVDC solve (budget then acts as the
-    feature-count cap).
+    or dissection objects so pickling stays cheap. MVDC payloads carry
+    ``method="mvdc"`` and their ``delay_budget_ps`` (budget then acts as
+    the feature-count cap).
     """
 
     key: TileKey
@@ -171,7 +168,6 @@ class TilePayload:
     tile_deadline_s: float | None = None
     run_deadline: float | None = None  # absolute time.time() epoch
     fault_spec: FaultSpec | None = None
-    fallback: bool = True
     telemetry: bool = False
 
 
@@ -210,7 +206,6 @@ def make_tile_payload(
     tile_deadline_s: float | None = None,
     run_deadline: float | None = None,
     fault_spec: FaultSpec | None = None,
-    fallback: bool = True,
     telemetry: bool = False,
     inline_columns: bool = True,
 ) -> TilePayload:
@@ -232,7 +227,6 @@ def make_tile_payload(
         tile_deadline_s=tile_deadline_s,
         run_deadline=run_deadline,
         fault_spec=fault_spec,
-        fallback=fallback,
         telemetry=telemetry,
     )
 
@@ -240,7 +234,8 @@ def make_tile_payload(
 def solve_tile_payload(
     payload: TilePayload, attempt: int = 0, columns: TileCosts | None = None
 ) -> TileOutcome:
-    """Solve one tile — in a pool worker or in the dispatching process.
+    """Solve one tile through the robust fallback chain — in a pool worker
+    or in the dispatching process.
 
     ``columns`` supplies the tile's cost tables directly (in-process
     dispatch passes the prepared :class:`~repro.pilfill.costs.
@@ -256,62 +251,30 @@ def solve_tile_payload(
     metrics registry (single-owner, lock-free) and marshals the frozen
     snapshot back on the outcome for the dispatcher to merge.
     """
-    from repro.pilfill.robust import effective_time_limit, solve_tile_robust
-    from repro.testing import faults as fault_hooks
-
     tracer: TracerLike = Tracer() if payload.telemetry else NULL_TRACER
     metrics = Metrics() if payload.telemetry else None
     t0 = time.perf_counter()
-    costs = columns if columns is not None else list(payload.columns)
-    report: SolveReport | None = None
-    if payload.delay_budget_ps is not None:
-        from repro.pilfill.mvdc import solve_tile_mvdc
-
-        # MVDC has no fallback chain (its solver is already the greedy
-        # rung); fault hooks still apply so the retry path is testable.
-        with tracer.span("tile", tile=payload.key, method="mvdc", attempt=attempt):
-            fault_hooks.inject(payload.key, "mvdc", attempt, payload.fault_spec)
-            effective_time_limit(payload.tile_deadline_s, payload.run_deadline)
-            solution = solve_tile_mvdc(costs, payload.delay_budget_ps)
-            if solution.total_features > payload.budget:
-                solution = trim_to(costs, solution, payload.budget)
-    elif payload.fallback:
-        robust = solve_tile_robust(
-            costs,
-            payload.method,
-            payload.budget,
-            payload.weighted,
-            payload.ilp_backend,
-            tile_rng(payload.seed, payload.key),
-            key=payload.key,
-            tile_deadline_s=payload.tile_deadline_s,
-            run_deadline=payload.run_deadline,
-            fault_spec=payload.fault_spec,
-            attempt=attempt,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        solution, report = robust.solution, robust.report
-    else:
-        with tracer.span("tile", tile=payload.key, method=payload.method, attempt=attempt):
-            fault_hooks.inject(payload.key, payload.method, attempt, payload.fault_spec)
-            solution = solve_tile_method(
-                costs,
-                payload.method,
-                payload.budget,
-                payload.weighted,
-                payload.ilp_backend,
-                tile_rng(payload.seed, payload.key),
-                time_limit=effective_time_limit(
-                    payload.tile_deadline_s, payload.run_deadline
-                ),
-                tracer=tracer,
-            )
+    robust = solve_tile_robust(
+        columns if columns is not None else list(payload.columns),
+        payload.method,
+        payload.budget,
+        payload.weighted,
+        payload.ilp_backend,
+        tile_rng(payload.seed, payload.key),
+        key=payload.key,
+        delay_budget_ps=payload.delay_budget_ps,
+        tile_deadline_s=payload.tile_deadline_s,
+        run_deadline=payload.run_deadline,
+        fault_spec=payload.fault_spec,
+        attempt=attempt,
+        tracer=tracer,
+        metrics=metrics,
+    )
     return TileOutcome(
         key=payload.key,
-        value=solution,
+        value=robust.solution,
         seconds=time.perf_counter() - t0,
-        report=report,
+        report=robust.report,
         retries=attempt,
         spans=tracer.records(),
         metrics=metrics.snapshot() if metrics is not None else None,
@@ -378,12 +341,10 @@ def _solve_payload_isolated(
 def dispatch_tile_payloads(
     payloads: Sequence[TilePayload],
     workers: int = 1,
-    isolate: bool = True,
     *,
     backend: str = "process",
     costs: Mapping[TileKey, TileCosts] | None = None,
     store: "SharedStoreHandle | None" = None,
-    batch_tiles: int | None = None,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
 ) -> dict[TileKey, TileOutcome]:
@@ -402,7 +363,8 @@ def dispatch_tile_payloads(
       ``store`` names a shared-memory cost store; payloads built with
       empty ``columns`` are hydrated from it on the worker side, so the
       big tables cross the pickle boundary once per worker rather than
-      once per tile. ``batch_tiles`` overrides the auto chunk size;
+      once per tile (chunk sizes are auto-chosen, see
+      :func:`~repro.pilfill.executor.chunk_payloads`);
       ``tracer``/``metrics`` receive per-batch spans and dispatch-cost
       metrics (payload bytes, batches, broken pools).
     * Otherwise the payloads are solved in this process — serially, or
@@ -411,13 +373,12 @@ def dispatch_tile_payloads(
       next to column-less payloads; without it, payload columns (inline
       or hydrated from ``store``) are used.
 
-    With ``isolate=True`` a failing tile is retried once and then
-    recorded as a failed :class:`TileOutcome` instead of aborting the
-    sweep; a deadline expiry fails the tile without a retry. A pool
-    worker that *dies* (broken pool) has its batch — and any batch
-    stranded by the broken pool — re-solved in the parent process, which
-    is attempt 1 of the same deterministic contract. With
-    ``isolate=False`` the first exception propagates.
+    A failing tile is retried once and then recorded as a failed
+    :class:`TileOutcome` instead of aborting the sweep; a deadline expiry
+    fails the tile without a retry. A pool worker that *dies* (broken
+    pool) has its batch — and any batch stranded by the broken pool —
+    re-solved in the parent process, which is attempt 1 of the same
+    deterministic contract.
     """
     from repro.pilfill.executor import _hydrate, dispatch_batches, resolve_store
 
@@ -431,13 +392,7 @@ def dispatch_tile_payloads(
         return {}
     if backend == "process" and workers > 1 and len(payloads) > 1:
         return dispatch_batches(
-            payloads,
-            workers,
-            isolate,
-            store=store,
-            batch_tiles=batch_tiles,
-            tracer=tracer,
-            metrics=metrics,
+            payloads, workers, store=store, tracer=tracer, metrics=metrics
         )
     if costs is None and store is not None:
         data = resolve_store(store)
@@ -445,9 +400,7 @@ def dispatch_tile_payloads(
 
     def solve(payload: TilePayload) -> TileOutcome:
         columns = costs[payload.key] if costs is not None else None
-        if isolate:
-            return _solve_payload_isolated(payload, columns=columns)
-        return solve_tile_payload(payload, columns=columns)
+        return _solve_payload_isolated(payload, columns=columns)
 
     if workers == 1 or len(payloads) <= 1:
         return {p.key: solve(p) for p in payloads}

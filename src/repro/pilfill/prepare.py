@@ -151,30 +151,10 @@ class PreparedInstance:
         freely. LUT-cache hit/miss counts accumulate into ``lut_stats``.
         """
         cached = self._costs.get(weighted)
-        if cached is not None:
-            return cached
-        trc = tracer if tracer is not None else NULL_TRACER
-        t0 = time.perf_counter()
-        with trc.span("prepare.costs", weighted=weighted):
-            layer_proc = self.layout.stack.layer(self.layer)
-            dbu = self.layout.stack.dbu_per_micron
-            lut_cache = LUTCache(
-                layer_proc.eps_r, layer_proc.thickness_um, self.fill_rules.fill_size / dbu
-            )
-            costs = {
-                key: build_costs(cols, layer_proc, self.fill_rules, dbu, lut_cache, weighted)
-                for key, cols in self.columns_by_tile.items()
-            }
-            for name, count in lut_cache.stats().items():
-                self.lut_stats[name] = self.lut_stats.get(name, 0) + count
-        self._costs[weighted] = costs
-        # Kept so the shared-memory store can ship the LUT tables to pool
-        # workers once instead of re-deriving them there.
-        self._lut_caches[weighted] = lut_cache
-        self.phase_seconds["costs"] = (
-            self.phase_seconds.get("costs", 0.0) + time.perf_counter() - t0
-        )
-        return costs
+        if cached is None:
+            cached = self._build_costs(weighted, list(self.columns_by_tile), tracer)
+            self._costs[weighted] = cached
+        return cached
 
     def costs_for_tiles(
         self,
@@ -190,18 +170,34 @@ class PreparedInstance:
         tiles and — unlike :meth:`costs_for` — does *not* cache them on
         the instance: the sharded solve path owns the lifetime, holding
         one shard's tables at a time and releasing them before the next
-        shard builds. One LUT cache per ``weighted`` flag is shared
-        across calls, so shard-by-shard building reuses interpolations
-        exactly like the global build (caching is value-transparent, so
-        the tables are bit-identical either way). Tiles without slack
-        columns are omitted, matching :meth:`costs_for`.
+        shard builds. Tiles without slack columns are omitted, matching
+        :meth:`costs_for`.
         """
         cached = self._costs.get(weighted)
         if cached is not None:
             return {key: cached[key] for key in keys if key in cached}
+        return self._build_costs(weighted, keys, tracer, tiles=len(keys))
+
+    def _build_costs(
+        self,
+        weighted: bool,
+        keys: Sequence[TileKey],
+        tracer: TracerLike | None,
+        **span_attrs: object,
+    ) -> dict[TileKey, list[ColumnCosts]]:
+        """Build the cost tables of ``keys`` (tiles without slack columns
+        are skipped) and charge the time to the ``costs`` phase.
+
+        One LUT cache per ``weighted`` flag is shared by every build —
+        shard-by-shard building reuses interpolations exactly like the
+        global build, and the shared-memory store ships the same LUT
+        tables to pool workers. Caching is value-transparent, so the
+        tables are bit-identical either way. The cache's hit/miss deltas
+        accumulate into ``lut_stats``.
+        """
         trc = tracer if tracer is not None else NULL_TRACER
         t0 = time.perf_counter()
-        with trc.span("prepare.costs", weighted=weighted, tiles=len(keys)):
+        with trc.span("prepare.costs", weighted=weighted, **span_attrs):
             layer_proc = self.layout.stack.layer(self.layer)
             dbu = self.layout.stack.dbu_per_micron
             lut_cache = self._lut_caches.get(weighted)

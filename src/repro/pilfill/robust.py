@@ -11,9 +11,11 @@ degrades that tile instead of aborting the sweep:
   enforce it and surface :class:`~repro.errors.SolveTimeoutError`.
 * **Fallback chain.** ILP-II → ILP-I → Greedy (paper Fig. 8 ordering by
   cost/quality); every other method falls back to Greedy directly, which
-  is deterministic, fast, and cannot time out on per-tile instances. A
-  timeout never retries the *same* method — under the same deadline it
-  would just time out again.
+  is deterministic, fast, and cannot time out on per-tile instances.
+  MVDC is a one-rung chain: Greedy would ignore the tile's delay budget,
+  so an MVDC tile fails rather than degrades. A timeout never retries
+  the *same* method — under the same deadline it would just time out
+  again.
 * **Reports.** Every tile gets a :class:`SolveReport` recording which
   method was requested, which actually produced the solution, how many
   dispatcher retries happened, and the error chain — so tables can
@@ -44,7 +46,8 @@ from repro.testing.faults import FaultSpec
 TileKey = tuple[int, int]
 
 #: Degradation order per requested method. Greedy is the terminal rung:
-#: deterministic, near-instant, and never invokes an ILP backend.
+#: deterministic, near-instant, and never invokes an ILP backend. MVDC
+#: has no cheaper rung that honours its delay budget.
 #: Immutable: this module runs inside pool workers, so module state must
 #: not be writable (C201).
 _CHAINS: MappingProxyType[str, tuple[str, ...]] = MappingProxyType(
@@ -52,6 +55,7 @@ _CHAINS: MappingProxyType[str, tuple[str, ...]] = MappingProxyType(
         "ilp2": ("ilp2", "ilp1", "greedy"),
         "ilp1": ("ilp1", "greedy"),
         "greedy": ("greedy",),
+        "mvdc": ("mvdc",),
     }
 )
 
@@ -142,6 +146,7 @@ def solve_tile_robust(
     rng: random.Random,
     *,
     key: TileKey,
+    delay_budget_ps: float | None = None,
     tile_deadline_s: float | None = None,
     run_deadline: float | None = None,
     fault_spec: FaultSpec | None = None,
@@ -151,6 +156,8 @@ def solve_tile_robust(
 ) -> RobustSolve:
     """Solve one tile, degrading down the fallback chain on failure.
 
+    ``delay_budget_ps`` is the MVDC tile's delay cap (see
+    :func:`~repro.pilfill.methods.solve_tile_method`).
     Raises :class:`WorkerDeathError` (never handled here — the dispatcher
     owns the retry) and :class:`SolveTimeoutError` only when the *run*
     deadline is exhausted — that timeout carries the rung error history
@@ -189,6 +196,7 @@ def solve_tile_robust(
                         rng,
                         time_limit=time_limit,
                         tracer=trc,
+                        delay_budget_ps=delay_budget_ps,
                     )
                 except WorkerDeathError:
                     raise  # the dispatcher retries; recovery cannot run in a dead worker

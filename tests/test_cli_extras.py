@@ -25,6 +25,52 @@ class TestAblationCommand:
         assert args.name == "columns" and args.testcase == "T2"
 
 
+#: Every engine-run flag ``fill``, ``table1`` and ``table2`` share.
+SHARED_RUN_FLAGS = [
+    "--workers", "3", "--backend", "process", "--tile-deadline", "0.5",
+    "--run-deadline", "9", "--cache-dir", "cache", "--no-cache",
+    "--density-backend", "fft", "--trace-out", "t.json",
+    "--metrics-out", "m.json", "--shards", "2",
+]
+
+
+class TestSharedRunFlags:
+    @pytest.mark.parametrize("command", ["fill", "table1", "table2"])
+    def test_every_shared_flag_parses(self, command):
+        args = build_parser().parse_args([command, *SHARED_RUN_FLAGS])
+        assert (args.workers, args.backend, args.shards) == (3, "process", 2)
+        assert (args.tile_deadline, args.run_deadline) == (0.5, 9.0)
+        assert (args.cache_dir, args.no_cache) == ("cache", True)
+        assert args.density_backend == "fft"
+        assert (args.trace_out, args.metrics_out) == ("t.json", "m.json")
+
+    @pytest.mark.parametrize("command", ["fill", "table1", "table2"])
+    def test_batch_tiles_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--batch-tiles", "4"])
+
+    def test_quick_table_keeps_the_run_flags(self, monkeypatch, capsys):
+        specs = []
+
+        class _Table:
+            degraded_cells = 0
+
+            def format(self):
+                return ""
+
+        def fake_run_table(weighted, spec, progress):
+            specs.append(spec)
+            return _Table()
+
+        monkeypatch.setattr("repro.cli.run_table", fake_run_table)
+        argv = ["table1", "--quick", "--workers", "2", "--shards", "3",
+                "--density-backend", "fft"]
+        assert main(argv) == 0
+        (spec,) = specs
+        assert (spec.testcases, spec.windows_um, spec.r_values) == (("T1",), (32,), (2,))
+        assert (spec.workers, spec.shards, spec.density_backend) == (2, 3, "fft")
+
+
 class TestReportCommand:
     def test_quick_report(self, tmp_path, capsys):
         out = tmp_path / "r.md"

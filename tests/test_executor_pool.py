@@ -5,8 +5,8 @@ Regression targets of the persistent-pool executor PR:
 * an empty payload/key list returns an empty mapping without ever
   creating a pool (the ``ProcessPoolExecutor(max_workers=0)`` ValueError
   a no-fill-needed run used to risk), under all three backends,
-* chunked dispatch is bit-identical to serial for every chunk size, for
-  the table methods and MVDC alike,
+* chunked dispatch is bit-identical to serial for every worker and tile
+  count, for the table methods and MVDC alike,
 * the persistent pool actually persists: consecutive ``engine.run()``
   calls reuse one pool (stable worker PIDs, one lifetime creation),
 * a worker death mid-batch retries only the dying tile — batchmates
@@ -22,8 +22,10 @@ Regression targets of the persistent-pool executor PR:
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import pickle
+import sys
 from dataclasses import replace
 from multiprocessing import shared_memory
 
@@ -92,6 +94,38 @@ def baseline(small_generated_layout, prepared):
     ).run()
 
 
+@pytest.fixture
+def one_batch(monkeypatch):
+    """Ship every payload in a single batch, so one worker death
+    strands all of its batchmates."""
+    monkeypatch.setattr(
+        executor_module, "chunk_payloads", lambda payloads, workers: [tuple(payloads)]
+    )
+
+
+#: Barrier shared with the pool workers by :func:`rendezvous` (set
+#: before the workers fork, so each inherits it).
+_RENDEZVOUS = None
+
+
+def _rendezvous_solve(batch):
+    """Hold a batch until another worker holds one too, then solve it."""
+    _RENDEZVOUS.wait(timeout=60)
+    return solve_tile_batch(batch)
+
+
+@pytest.fixture
+def rendezvous(monkeypatch):
+    """Every pair of batches is served by two distinct workers: a worker
+    blocked on the barrier cannot take the second batch, so which worker
+    serves what no longer depends on the pool's scheduling."""
+    shutdown_pools()  # the next pool forks after the barrier exists
+    monkeypatch.setattr(sys.modules[__name__], "_RENDEZVOUS", multiprocessing.Barrier(2))
+    monkeypatch.setattr(executor_module, "solve_tile_batch", _rendezvous_solve)
+    yield
+    shutdown_pools()
+
+
 def make_payloads(prepared, baseline, method="greedy", **overrides):
     """Inline-column payloads for every solved tile of the baseline."""
     costs_by_tile = prepared.costs_for(True)
@@ -143,43 +177,61 @@ class TestChunking:
         assert max(sizes) == 38
 
     def test_explicit_chunk_size(self):
-        chunks = chunk_payloads(list(range(10)), workers=4, batch_tiles=3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
+        """The auto size, spelled out: ceil(tiles / (4 × workers)),
+        capped at 64 tiles per batch."""
+        sizes = {
+            (tiles, workers): [len(c) for c in chunk_payloads(list(range(tiles)), workers)]
+            for tiles, workers in ((10, 1), (10, 4), (9, 2), (1000, 2))
+        }
+        assert sizes[(10, 1)] == [3, 3, 3, 1]
+        assert sizes[(10, 4)] == [1] * 10
+        assert sizes[(9, 2)] == [2, 2, 2, 2, 1]
+        assert sizes[(1000, 2)] == [64] * 15 + [40]
 
     def test_empty_and_invalid(self):
         assert chunk_payloads([], workers=4) == []
-        with pytest.raises(FillError, match="batch_tiles"):
-            chunk_payloads([1], workers=1, batch_tiles=0)
+        # The chunk size is not a knob: neither the chunker nor (below)
+        # the engine configuration accepts one.
+        with pytest.raises(TypeError):
+            chunk_payloads([1], workers=1, batch_tiles=1)
 
     def test_engine_batch_tiles_validated(self):
-        with pytest.raises(FillError, match="batch_tiles"):
-            make_cfg(batch_tiles=0)
+        with pytest.raises(TypeError):
+            make_cfg(batch_tiles=1)
 
     @pytest.mark.parametrize("method", ["greedy", "normal", "dp"])
-    @pytest.mark.parametrize("batch_tiles", [1, 2, None])
+    @pytest.mark.parametrize("n_tiles", [1, 2, None])
     def test_chunked_bit_identical_to_serial(
-        self, small_generated_layout, prepared, method, batch_tiles
+        self, small_generated_layout, prepared, method, n_tiles
     ):
+        """Chunking varies with the worker count and the number of tiles
+        dispatched (``n_tiles`` budgeted tiles; None = all of them); the
+        merge never does."""
         serial = PILFillEngine(
             small_generated_layout, "metal3", make_cfg(method), prepared=prepared
         ).run()
-        cfg = make_cfg(
-            method, workers=2, parallel_backend="process", batch_tiles=batch_tiles
-        )
-        chunked = PILFillEngine(
-            small_generated_layout, "metal3", cfg, prepared=prepared
-        ).run(budget=serial.requested_budget)
-        assert chunked.features == serial.features
-        assert chunked.model_objective_ps == serial.model_objective_ps
-        assert {k: s.counts for k, s in chunked.tile_solutions.items()} == {
-            k: s.counts for k, s in serial.tile_solutions.items()
-        }
+        keys = sorted(k for k, v in serial.requested_budget.items() if v > 0)[:n_tiles]
+        budget = {key: serial.requested_budget[key] for key in keys}
+        serial = PILFillEngine(
+            small_generated_layout, "metal3", make_cfg(method), prepared=prepared
+        ).run(budget=budget)
+        for workers in (2, 3):
+            cfg = make_cfg(method, workers=workers, parallel_backend="process")
+            chunked = PILFillEngine(
+                small_generated_layout, "metal3", cfg, prepared=prepared
+            ).run(budget=budget)
+            assert chunked.features == serial.features
+            assert chunked.model_objective_ps == serial.model_objective_ps
+            assert {k: s.counts for k, s in chunked.tile_solutions.items()} == {
+                k: s.counts for k, s in serial.tile_solutions.items()
+            }
+        shutdown_pools()
 
     def test_chunked_mvdc_bit_identical(self, small_generated_layout, prepared):
         serial = PILFillEngine(
             small_generated_layout, "metal3", make_cfg(), prepared=prepared
         ).run_mvdc(slack_fraction=0.3)
-        cfg = make_cfg(workers=2, parallel_backend="process", batch_tiles=2)
+        cfg = make_cfg(workers=3, parallel_backend="process")
         chunked = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
         ).run_mvdc(slack_fraction=0.3)
@@ -206,17 +258,20 @@ class TestPoolPersistence:
         shutdown_pools()
         assert pool_stats()["live"] == 0
 
-    def test_worker_pids_stable_across_dispatches(self, prepared, baseline):
+    def test_worker_pids_stable_across_dispatches(
+        self, prepared, baseline, rendezvous
+    ):
         """Dispatch-level PID check: consecutive dispatches on the
-        persistent pool are served by the same worker processes."""
-        shutdown_pools()
-        payloads = make_payloads(prepared, baseline)
+        persistent pool are served by the same worker processes. Two
+        tiles make two one-tile batches, each held until both workers
+        have one, so both workers serve both dispatches."""
+        payloads = make_payloads(prepared, baseline)[:2]
+        assert len(chunk_payloads(payloads, 2)) == 2
         first = dispatch_tile_payloads(payloads, workers=2)
         second = dispatch_tile_payloads(payloads, workers=2)
         pids_a, pids_b = worker_pids(first), worker_pids(second)
-        assert pids_a and pids_a == pids_b
+        assert len(pids_a) == 2 and pids_a == pids_b
         assert os.getpid() not in pids_a
-        shutdown_pools()
 
     def test_registry_rejects_serial_worker_count(self):
         from repro.pilfill import get_pool
@@ -227,7 +282,7 @@ class TestPoolPersistence:
 
 class TestFaultsMidBatch:
     def test_worker_death_mid_batch_retries_only_dying_tile(
-        self, prepared, baseline
+        self, prepared, baseline, one_batch
     ):
         """One tile's worker dies inside a multi-tile batch: the parent
         re-solves the batch, the dying tile spends its retry, batchmates
@@ -239,9 +294,7 @@ class TestFaultsMidBatch:
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
         clean = make_payloads(prepared, baseline)
         # One big batch: the death strands every batchmate behind it.
-        faulted = dispatch_tile_payloads(
-            payloads, workers=2, batch_tiles=len(payloads)
-        )
+        faulted = dispatch_tile_payloads(payloads, workers=2)
         reference = dispatch_tile_payloads(clean, workers=2)
         assert set(faulted) == set(reference)
         for key in keys:
@@ -250,15 +303,13 @@ class TestFaultsMidBatch:
         shutdown_pools()
 
     def test_persistent_death_fails_tile_batchmates_survive(
-        self, prepared, baseline
+        self, prepared, baseline, one_batch
     ):
         keys = sorted(baseline.tile_solutions)
         dying = keys[0]
         spec = FaultSpec.single("worker_death", tiles=[dying], attempts=None)
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
-        outcomes = dispatch_tile_payloads(
-            payloads, workers=2, batch_tiles=len(payloads)
-        )
+        outcomes = dispatch_tile_payloads(payloads, workers=2)
         assert outcomes[dying].failed
         assert "WorkerDeathError" in outcomes[dying].error
         for key in keys[1:]:
@@ -266,7 +317,7 @@ class TestFaultsMidBatch:
         shutdown_pools()
 
     def test_deadline_expiry_mid_batch_fails_tile_without_retry(
-        self, prepared, baseline
+        self, prepared, baseline, one_batch
     ):
         """An injected timeout exhausting one tile's chain mid-batch:
         TIME_LIMIT failed outcome, retries=0, batchmates untouched."""
@@ -276,9 +327,7 @@ class TestFaultsMidBatch:
             "timeout", tiles=[expiring], methods=("greedy",), attempts=None
         )
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
-        outcomes = dispatch_tile_payloads(
-            payloads, workers=2, batch_tiles=len(payloads)
-        )
+        outcomes = dispatch_tile_payloads(payloads, workers=2)
         assert outcomes[expiring].failed
         assert outcomes[expiring].error.startswith("TIME_LIMIT")
         assert outcomes[expiring].retries == 0
@@ -291,7 +340,7 @@ class TestFaultsMidBatch:
 class TestTelemetrySingleMerge:
     @pytest.mark.parametrize("fault", [None, "worker_death"])
     def test_metric_totals_count_each_tile_once(
-        self, small_generated_layout, prepared, fault
+        self, small_generated_layout, prepared, fault, one_batch
     ):
         """tiles.solved + tiles.failed must equal the dispatched tile
         count even when a batch is re-solved in the parent after a worker
@@ -308,7 +357,7 @@ class TestTelemetrySingleMerge:
         )
         cfg = make_cfg(
             workers=2, parallel_backend="process",
-            batch_tiles=len(keys), telemetry=True, fault_spec=spec,
+            telemetry=True, fault_spec=spec,
         )
         result = PILFillEngine(
             small_generated_layout, "metal3", cfg, prepared=prepared
@@ -409,7 +458,7 @@ class TestSharedStore:
             stripped = replace(inline[0], columns=())
             with pytest.raises(FillError, match="no cost columns"):
                 solve_tile_batch(
-                    TileBatch(payloads=(stripped,), store=store.handle, isolate=False)
+                    TileBatch(payloads=(stripped,), store=store.handle)
                 )
         finally:
             store.close()
@@ -449,7 +498,7 @@ class TestStoreLifetime:
         return inline, [replace(p, columns=()) for p in inline], store
 
     def test_broken_pool_releases_store_and_recovers(
-        self, prepared, baseline, monkeypatch
+        self, prepared, baseline, monkeypatch, one_batch
     ):
         """One real worker death: every batch is re-solved in the parent
         (bit-identical), then the shm segment is unlinked eagerly — no
@@ -463,12 +512,7 @@ class TestStoreLifetime:
                 # The dispatcher submits the module-level pool entry, so
                 # swapping it sends every batch to a dying worker.
                 patch.setattr(executor_module, "solve_tile_batch", _exit_worker)
-                outcomes = dispatch_batches(
-                    stripped,
-                    workers=2,
-                    store=store.handle,
-                    batch_tiles=len(stripped),
-                )
+                outcomes = dispatch_batches(stripped, workers=2, store=store.handle)
             reference = {
                 o.key: o
                 for o in solve_tile_batch(TileBatch(payloads=tuple(inline)))

@@ -29,6 +29,7 @@ from repro.pilfill import (
     SlackColumnDef,
     fallback_chain,
     prepare,
+    result_digest,
 )
 from repro.tech import DensityRules, FillRules
 from repro.testing.faults import FaultRule, FaultSpec, activate, sample_tiles
@@ -335,38 +336,63 @@ class TestDeadlines:
             make_cfg(run_deadline_s=-1.0)
 
 
-class TestStrictMode:
-    def test_fallback_false_propagates_fault(
-        self, small_generated_layout, prepared, base_ilp2
-    ):
-        key = sorted(base_ilp2.tile_solutions)[0]
-        spec = FaultSpec.single("error", tiles=[key], methods=("ilp2",), attempts=None)
-        with pytest.raises(SolverError):
-            faulted_run(
-                small_generated_layout, prepared, "ilp2", spec,
-                budget=base_ilp2.requested_budget, fallback=False,
-            )
+class TestMvdcChain:
+    """MVDC is a one-rung chain: a fault fails or retries the tile, and
+    never degrades it to Greedy (which would ignore its delay budget)."""
 
-    def test_fallback_false_unfaulted_matches_robust_run(
-        self, small_generated_layout, prepared, base_ilp2
+    @pytest.fixture(scope="class")
+    def base_mvdc(self, small_generated_layout, prepared):
+        return PILFillEngine(
+            small_generated_layout, "metal3", make_cfg("greedy"), prepared=prepared
+        ).run_mvdc(slack_fraction=0.3)
+
+    @staticmethod
+    def mvdc_run(layout, prepared, spec, workers, backend):
+        cfg = make_cfg(
+            "greedy", fault_spec=spec, workers=workers, parallel_backend=backend
+        )
+        return PILFillEngine(layout, "metal3", cfg, prepared=prepared).run_mvdc(
+            slack_fraction=0.3
+        )
+
+    def test_chain_is_one_rung(self):
+        assert fallback_chain("mvdc") == ("mvdc",)
+
+    @pytest.mark.parametrize("workers, backend", BACKENDS)
+    def test_persistent_fault_fails_only_that_tile(
+        self, small_generated_layout, prepared, base_mvdc, workers, backend
     ):
-        """Robust mode must not change successful solves: strict and
-        robust runs are bit-identical when nothing fails."""
-        strict = faulted_run(
-            small_generated_layout, prepared, "ilp2", None,
-            budget=base_ilp2.requested_budget, fallback=False,
-        )
-        assert [f.rect for f in strict.features] == [
-            f.rect for f in base_ilp2.features
-        ]
-        # Strict mode records an ok report per solved tile (no robust layer,
-        # but `clean` must rest on evidence, not an empty report dict).
-        assert set(strict.solve_reports) == set(strict.tile_solutions)
+        key = sorted(base_mvdc.tile_solutions)[0]
+        spec = FaultSpec.single("error", tiles=[key], methods=("mvdc",), attempts=None)
+        result = self.mvdc_run(small_generated_layout, prepared, spec, workers, backend)
+        assert result.failed_tiles == [key]
+        assert result.degraded_tiles == []
+        report = result.solve_reports[key]
+        assert report.requested_method == "mvdc"
+        assert report.used_method is None
+        assert report.retries == 1
+        assert not any(error.startswith("greedy") for error in report.errors)
+        assert result.tile_solutions[key].total_features == 0
+        assert_non_faulted_identical(result, base_mvdc, {key})
         assert all(
-            r.ok and r.used_method == "ilp2" and r.retries == 0
-            for r in strict.solve_reports.values()
+            r.requested_method == r.used_method == "mvdc"
+            for k, r in result.solve_reports.items()
+            if k != key
         )
-        assert strict.clean
+
+    @pytest.mark.parametrize("workers, backend", BACKENDS)
+    def test_transient_fault_retried_to_clean_digest(
+        self, small_generated_layout, prepared, base_mvdc, workers, backend
+    ):
+        key = sorted(base_mvdc.tile_solutions)[0]
+        spec = FaultSpec.single("error", tiles=[key], methods=("mvdc",))
+        result = self.mvdc_run(small_generated_layout, prepared, spec, workers, backend)
+        assert result_digest(result) == result_digest(base_mvdc)
+        assert result.retried_tiles == [key]
+        assert result.failed_tiles == [] and result.degraded_tiles == []
+        report = result.solve_reports[key]
+        assert report.requested_method == report.used_method == "mvdc"
+        assert report.retries == 1
 
 
 class TestHarnessAndTables:

@@ -223,7 +223,6 @@ class TestDigests:
             {"weighted": False},
             {"backend": "bundled"},
             {"seed": 1},
-            {"fallback": False},
             {"fill_rules": FillRules(fill_size=600, fill_gap=250, buffer_distance=250)},
             {"density_rules": DensityRules(window_size=16000, r=4, max_density=0.6)},
             {
@@ -247,7 +246,7 @@ class TestDigests:
         [
             {"workers": 4},
             {"parallel_backend": "process"},
-            {"batch_tiles": 2},
+            {"shards": 2},
             {"telemetry": True},
         ],
         ids=lambda change: next(iter(change)),

@@ -170,7 +170,7 @@ class TestRunReportExport:
         assert config["density_backend"] == "direct"
         assert config["capacity_margin"] == cfg.capacity_margin
         assert config["target_density"] == "mean"
-        assert config["batch_tiles"] is None
+        assert "batch_tiles" not in config and "fallback" not in config
         assert config["fault_spec"] is True
         assert report["totals"]["degraded_tiles"] == 1
         degraded = [
@@ -277,18 +277,3 @@ class TestTimeoutRetryFix:
         assert report.errors[0].startswith("ilp2:")
         assert report.errors[1].startswith("ilp1:")
         assert report.errors[2].startswith("TIME_LIMIT:")
-
-
-class TestStrictModeReports:
-    def test_strict_run_records_ok_reports(
-        self, small_generated_layout, prepared, base_run
-    ):
-        """fallback=False used to record no reports, making `clean`
-        vacuously true; strict runs now report every solved tile."""
-        result = PILFillEngine(
-            small_generated_layout, "metal3",
-            make_cfg("ilp2", fallback=False), prepared=prepared,
-        ).run(budget=base_run.requested_budget)
-        assert set(result.solve_reports) == set(result.tile_solutions)
-        assert all(r.ok for r in result.solve_reports.values())
-        assert result.clean

@@ -118,7 +118,7 @@ class TestMvdc:
 class TestCapTables:
     def test_recovers_delta_c(self):
         cc = make_column(0, [1.0, 2.0], sinks=2, res=500.0)
-        caps = build_cap_tables([cc])[0]
+        caps = build_cap_tables([cc], weighted=True)[0]
         # exact[n] = r_hat(w=True) * dC(n) * 1e-3; r_hat = 2 nets * 2 sinks * 500
         from repro.layout.rctree import OHM_FF_TO_PS
 
@@ -132,7 +132,31 @@ class TestCapTables:
             "metal3", (0, 0), 0, (Rect(0, 0, 500, 500),), None, neighbor, None
         )
         cc = ColumnCosts(free_col, (0.0, 0.0), (0.0, 0.0))
-        assert build_cap_tables([cc])[0] == (0.0, 0.0)
+        assert build_cap_tables([cc], weighted=True)[0] == (0.0, 0.0)
+
+    def test_weighted_and_unweighted_tables_give_equal_delta_c(
+        self, small_generated_layout, fill_rules
+    ):
+        """ΔC is geometry, not objective weighting: recovering it from
+        the unweighted tables must match the weighted ones (dividing an
+        unweighted table by the sink-weighted r̂ under-counts it)."""
+        from repro.pilfill import SlackColumnDef, prepare
+
+        prep = prepare(
+            small_generated_layout, "metal3", fill_rules,
+            DensityRules(window_size=16000, r=2, max_density=0.6),
+            SlackColumnDef.FULL_LAYOUT,
+        )
+        weighted, unweighted = prep.costs_for(True), prep.costs_for(False)
+        multi_sink = 0
+        for key, costs in weighted.items():
+            w_caps = build_cap_tables(costs, weighted=True)
+            u_caps = build_cap_tables(unweighted[key], weighted=False)
+            for cc, w, u in zip(costs, w_caps, u_caps):
+                assert u == pytest.approx(w, rel=1e-12, abs=0.0)
+                if cc.column.resistance_weight(True) != cc.column.resistance_weight(False):
+                    multi_sink += any(v > 0 for v in w)
+        assert multi_sink > 0  # the layout exercises the sink weighting
 
 
 class TestBudgetedFill:
@@ -146,7 +170,7 @@ class TestBudgetedFill:
 
     def test_unconstrained_matches_ilp2_optimum(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, weighted=True)
         out = solve_tile_budgeted_ilp(costs, caps, 3, {}, backend="bundled")
         assert out.feasible
         from repro.pilfill import solve_tile_ilp2
@@ -158,7 +182,7 @@ class TestBudgetedFill:
 
     def test_tight_budget_shifts_placement(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, weighted=True)
         free = solve_tile_budgeted_ilp(costs, caps, 3, {}, backend="bundled")
         # Forbid net 'a' from receiving almost anything: columns 0 and 2
         # become unusable, so everything must go to column 1 (capacity 2)
@@ -179,7 +203,7 @@ class TestBudgetedFill:
 
     def test_cap_used_respects_budgets(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, weighted=True)
         budgets = {"a": caps[0][2], "b": 1e9, "c": 1e9, "d": 1e9}
         out = solve_tile_budgeted_ilp(costs, caps, 4, budgets, backend="bundled")
         if out.feasible:
@@ -188,7 +212,7 @@ class TestBudgetedFill:
 
     def test_greedy_respects_budgets(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, weighted=True)
         budgets = {"a": 1e-9}
         out = solve_tile_budgeted_greedy(costs, caps, 3, budgets)
         assert not out.feasible  # only column 1 usable, capacity 2 < 3
@@ -198,7 +222,7 @@ class TestBudgetedFill:
 
     def test_greedy_matches_ilp_when_unconstrained(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, weighted=True)
         greedy = solve_tile_budgeted_greedy(costs, caps, 4, {})
         ilp = solve_tile_budgeted_ilp(costs, caps, 4, {}, backend="bundled")
         assert greedy.feasible and ilp.feasible
@@ -208,7 +232,7 @@ class TestBudgetedFill:
 
     def test_budget_over_capacity_raises(self):
         costs = self.columns()
-        caps = build_cap_tables(costs)
+        caps = build_cap_tables(costs, weighted=True)
         with pytest.raises(FillError):
             solve_tile_budgeted_ilp(costs, caps, 100, {})
 
