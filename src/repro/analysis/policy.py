@@ -30,7 +30,6 @@ def _default_worker_entry_functions() -> tuple[str, ...]:
     return (
         # Everything a pool worker actually executes hangs off these.
         "repro.pilfill.executor.solve_tile_batch",
-        "repro.pilfill.executor._worker_init",
         "repro.pilfill.parallel.solve_tile_payload",
         "repro.pilfill.parallel._solve_payload_isolated",
     )
@@ -40,16 +39,13 @@ def _default_payload_registry() -> tuple[str, ...]:
     return (
         # Shipped to pool workers (the request side of the boundary).
         "repro.pilfill.parallel.TilePayload",
-        "repro.pilfill.parallel.PayloadColumnCosts",
-        "repro.pilfill.parallel.PayloadColumn",
+        "repro.pilfill.costs.PayloadColumnCosts",
+        "repro.pilfill.costs.PayloadColumn",
         "repro.pilfill.columns.ColumnNeighbor",
         "repro.testing.faults.FaultSpec",
         "repro.testing.faults.FaultRule",
-        # Batched dispatch + shared-memory store (executor boundary).
+        # Batched dispatch (executor boundary).
         "repro.pilfill.executor.TileBatch",
-        "repro.pilfill.executor.SharedStoreHandle",
-        "repro.pilfill.executor.SharedStoreData",
-        "repro.cap.lut.LUTSnapshot",
         "repro.cap.lut.CapacitanceLUT",
         # Returned from pool workers (the response side).
         "repro.pilfill.parallel.TileOutcome",
@@ -98,11 +94,10 @@ class LintPolicy:
             ``<pool>.submit(...)`` detection.
         worker_entry_functions: dotted function names pool workers
             execute directly; X301 walks the call graph from these and
-            reports module-state writes that bypass the shared-memory
-            store protocol.
+            reports module-state writes (workers must be pure functions
+            of the batch they are handed).
         worker_state_allowlist: dotted module-level names reachable
-            worker code may legitimately mutate (the content-hash-keyed
-            shared-store resolver cache — the sanctioned shipping path).
+            worker code may legitimately mutate (none in this project).
     """
 
     float_eq_packages: tuple[str, ...] = ("repro.pilfill", "repro.ilp", "repro.cap")
@@ -154,11 +149,9 @@ class LintPolicy:
     worker_entry_functions: tuple[str, ...] = field(
         default_factory=_default_worker_entry_functions
     )
-    worker_state_allowlist: tuple[str, ...] = (
-        # The per-process shared-store resolver cache: mutation *is* the
-        # sanctioned re-sync mechanism (content-hash handshake, PR 6).
-        "repro.pilfill.executor._STORE_CACHE",
-    )
+    #: Module state pool workers may mutate. Empty: a worker is a pure
+    #: function of the batch it is handed.
+    worker_state_allowlist: tuple[str, ...] = ()
 
     def in_float_eq_scope(self, module: str) -> bool:
         """Whether D104 applies to ``module``."""

@@ -29,12 +29,9 @@ from repro.pilfill.dp import (
 )
 from repro.pilfill.engine import METHODS, EngineConfig, FillResult, PILFillEngine
 from repro.pilfill.executor import (
-    SharedCostStore,
-    SharedStoreHandle,
     TileBatch,
     chunk_payloads,
     get_pool,
-    make_shared_store,
     pool_stats,
     shutdown_pools,
     worker_pids,
@@ -79,7 +76,6 @@ from repro.pilfill.robust import (
 from repro.pilfill.shard import (
     GridShard,
     ShardPlan,
-    iter_shard_windows,
     plan_shards,
     result_digest,
 )
@@ -123,12 +119,9 @@ __all__ = [
     "EngineConfig",
     "FillResult",
     "PILFillEngine",
-    "SharedCostStore",
-    "SharedStoreHandle",
     "TileBatch",
     "chunk_payloads",
     "get_pool",
-    "make_shared_store",
     "pool_stats",
     "shutdown_pools",
     "worker_pids",
@@ -160,7 +153,6 @@ __all__ = [
     "solve_tile_robust",
     "GridShard",
     "ShardPlan",
-    "iter_shard_windows",
     "plan_shards",
     "result_digest",
     "MultiLayerResult",

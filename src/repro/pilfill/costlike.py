@@ -3,7 +3,7 @@
 Two concrete classes satisfy it: :class:`~repro.pilfill.costs.ColumnCosts`
 (the engine's in-process tables, wrapping a full
 :class:`~repro.pilfill.columns.SlackColumn`) and
-:class:`~repro.pilfill.parallel.PayloadColumnCosts` (the compact picklable
+:class:`~repro.pilfill.costs.PayloadColumnCosts` (the compact picklable
 view shipped to pool workers). The solvers only read the members declared
 here, so they accept either — this module pins that contract as a
 :class:`typing.Protocol` instead of a docstring.

@@ -16,6 +16,9 @@ are evaluated once over the whole ``n = 0 .. C`` vector, and the per-column
 r̂ scaling is a single numpy multiply. It is bit-identical to the scalar
 reference (:func:`build_costs_scalar`), which is kept as the oracle the
 property tests pin the vectorized path against.
+
+:class:`PayloadColumnCosts` is the geometry-free, picklable view of one
+:class:`ColumnCosts` that process-pool workers solve against.
 """
 
 from __future__ import annotations
@@ -28,9 +31,49 @@ import numpy as np
 from repro.cap.fillimpact import linear_column_cap, linear_column_cap_array
 from repro.cap.lut import LUTCache
 from repro.layout.rctree import OHM_FF_TO_PS
-from repro.pilfill.columns import SlackColumn
+from repro.pilfill.columns import ColumnNeighbor, SlackColumn
 from repro.tech.process import ProcessLayer
 from repro.tech.rules import FillRules
+
+
+@dataclass(frozen=True)
+class PayloadColumn:
+    """Electrical view of one slack column, without layout geometry.
+
+    Mirrors the parts of :class:`~repro.pilfill.columns.SlackColumn` the
+    per-tile solvers read (neighbors, gap, r̂) — site rectangles stay in
+    the parent process, which places the returned counts itself.
+    """
+
+    gap_um: float | None
+    below: ColumnNeighbor | None
+    above: ColumnNeighbor | None
+
+    @property
+    def has_impact(self) -> bool:
+        return self.below is not None and self.above is not None and self.gap_um is not None
+
+    def resistance_weight(self, weighted: bool) -> float:
+        total = 0.0
+        for neighbor in (self.below, self.above):
+            if neighbor is not None:
+                w = neighbor.sinks if weighted else 1
+                total += w * neighbor.resistance_ohm
+        return total
+
+
+@dataclass(frozen=True)
+class PayloadColumnCosts:
+    """Picklable stand-in for :class:`ColumnCosts` (see
+    :attr:`ColumnCosts.payload`)."""
+
+    column: PayloadColumn
+    exact: tuple[float, ...]
+    linear: tuple[float, ...]
+
+    @property
+    def capacity(self) -> int:
+        return len(self.exact) - 1
 
 
 @dataclass(frozen=True)
@@ -62,6 +105,20 @@ class ColumnCosts:
         arr = np.asarray(self.linear, dtype=np.float64)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def payload(self) -> PayloadColumnCosts:
+        """Picklable, geometry-free view of these tables (cached) — what
+        the process dispatcher ships to pool workers. It shares the
+        ``exact``/``linear`` tuples, so it costs two small objects."""
+        column = self.column
+        return PayloadColumnCosts(
+            column=PayloadColumn(
+                gap_um=column.gap_um, below=column.below, above=column.above
+            ),
+            exact=self.exact,
+            linear=self.linear,
+        )
 
 
 def build_costs(

@@ -128,10 +128,9 @@ class EngineConfig:
             worker, at most 64 tiles; see :func:`~repro.pilfill.executor.
             chunk_payloads`) to a persistent pool (created lazily per
             worker count, released via :func:`repro.pilfill.executor.
-            shutdown_pools`), with the cost tables and LUT arrays riding
-            a shared-memory store that crosses the pickle boundary once
-            per worker instead of once per tile. Results are
-            bit-identical to serial for every method.
+            shutdown_pools`); each batch carries picklable copies of its
+            own tiles' cost columns. Results are bit-identical to serial
+            for every method.
         tile_deadline_s: wall-clock deadline per tile solve (seconds).
             An ILP attempt exceeding it surfaces ``TIME_LIMIT`` and the
             tile degrades down the fallback chain (ILP-II → ILP-I →
@@ -161,10 +160,10 @@ class EngineConfig:
         shards: partition the solve phase into this many row-band shards
             along the dissection's window cut lines (see
             :mod:`repro.pilfill.shard`). Each shard builds only its own
-            cost tables and shared-memory store, so peak memory holds
-            one band instead of the grid; all shards share one warm
-            persistent pool, and the merge is bit-identical to the
-            unsharded run — sharding is a scheduling knob, excluded from
+            cost tables, so peak memory holds one band instead of the
+            grid; all shards share one warm persistent pool, and the
+            merge is bit-identical to the unsharded run — sharding is a
+            scheduling knob, excluded from
             :func:`~repro.pilfill.incremental.run_context_digest` like
             ``workers``. 1 (default) → one shard over the whole grid.
             :meth:`PILFillEngine.run_budgeted` rejects values above 1.
@@ -418,9 +417,9 @@ class PILFillEngine:
         then merges every tile — the same feature order, float
         accumulation order and telemetry absorption for any shard count.
 
-        A one-shard plan uses the memoized whole-grid cost tables and
-        shared store; a multi-shard plan builds each shard's tables and
-        store on demand and closes the store when the shard completes.
+        A one-shard plan uses the memoized whole-grid cost tables; a
+        multi-shard plan builds each shard's tables on demand and drops
+        them when the shard completes.
         ``mvdc_fraction`` switches the payloads to ``method="mvdc"`` with
         per-tile delay budgets derived from that slack fraction.
         """
@@ -460,7 +459,6 @@ class PILFillEngine:
             # Per-tile merge inputs, buffered while the owning shard's
             # cost tables are alive: (outcome, placed features, columns).
             solved: dict[tuple[int, int], tuple[TileOutcome, list[FillFeature], int]] = {}
-            ship = cfg.parallel_backend == "process" and cfg.workers > 1
 
             for shard in plan.shards:
                 with tracer.span(
@@ -507,19 +505,9 @@ class PILFillEngine:
                         else {}
                     )
 
-                    store = None
-                    if ship and misses:
-                        store = (
-                            prep.shared_store_for(cfg.weighted, tracer=tracer)
-                            if plan.n_shards == 1
-                            else prep.store_for_costs(
-                                cfg.weighted, {key: costs_by_tile[key] for key in misses}
-                            )
-                        )
                     payloads = [
                         make_tile_payload(
                             key,
-                            costs_by_tile[key],
                             effective[key],
                             method=method,
                             weighted=cfg.weighted,
@@ -530,28 +518,21 @@ class PILFillEngine:
                             run_deadline=run_deadline,
                             fault_spec=cfg.fault_spec,
                             telemetry=cfg.telemetry,
-                            inline_columns=ship and store is None,
                         )
                         for key in misses
                     ]
-                    try:
-                        with tracer.span(
-                            "solve", tiles=len(solve_keys),
-                            cached=len(solve_keys) - len(misses), shard=shard.key,
-                        ):
-                            outcomes.update(dispatch_tile_payloads(
-                                payloads,
-                                workers=cfg.workers,
-                                backend=cfg.parallel_backend,
-                                costs=costs_by_tile,
-                                store=store.handle if store is not None else None,
-                                tracer=tracer,
-                                metrics=metrics,
-                            ))
-                    finally:
-                        if store is not None and plan.n_shards > 1:
-                            # Shard-scoped segment: never outlive its shard.
-                            store.close()
+                    with tracer.span(
+                        "solve", tiles=len(solve_keys),
+                        cached=len(solve_keys) - len(misses), shard=shard.key,
+                    ):
+                        outcomes.update(dispatch_tile_payloads(
+                            payloads,
+                            workers=cfg.workers,
+                            backend=cfg.parallel_backend,
+                            costs=costs_by_tile,
+                            tracer=tracer,
+                            metrics=metrics,
+                        ))
                     for key in solve_keys:
                         outcome = outcomes[key]
                         costs = costs_by_tile[key]

@@ -12,18 +12,18 @@ solves out over a worker pool and merges the outcomes deterministically:
   outcomes in dissection order, so any worker count / backend is
   bit-identical to the serial path.
 * **One solve path, two backends.** Every tile is a
-  :class:`TilePayload` (budget + seed + deadlines, *not* layout objects)
-  solved by :func:`solve_tile_payload`. ``backend="thread"`` (and any
-  serial dispatch) hands the solver the caller's prepared cost tables
-  next to a column-less payload and fans out over a thread pool — right
-  for the numeric solvers (scipy/HiGHS) that release the GIL during
-  their solves. ``backend="process"`` ships the payloads to a process
-  pool — right for the pure-Python methods (Greedy, DP, Normal, bundled
-  branch-and-bound) whose hot loops hold the GIL and gain nothing from
-  threads. The pool is *persistent* (reused across runs), tiles travel
-  in chunked batches, and the cost tables ride a shared-memory store
-  instead of each payload — see :mod:`repro.pilfill.executor` for the
-  dispatch machinery.
+  :class:`TilePayload` (budget + seed + deadlines, *not* layout objects
+  or cost tables) solved by :func:`solve_tile_payload` against its
+  tile's cost columns. ``backend="thread"`` (and any serial dispatch)
+  hands the solver the caller's prepared cost tables directly and fans
+  out over a thread pool — right for the numeric solvers (scipy/HiGHS)
+  that release the GIL during their solves. ``backend="process"`` ships
+  the payloads to a process pool — right for the pure-Python methods
+  (Greedy, DP, Normal, bundled branch-and-bound) whose hot loops hold
+  the GIL and gain nothing from threads. The pool is *persistent*
+  (reused across runs), and tiles travel in chunked batches that carry
+  their own picklable columns — see :mod:`repro.pilfill.executor` for
+  the dispatch machinery.
 * **Per-tile timing.** Every outcome records its solve seconds so the
   hot tiles are visible from the CLI and harness.
 * **Fault isolation.** A tile whose solve raises — or whose pool worker
@@ -43,16 +43,14 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import FillError, SolveTimeoutError
 from repro.obs.metrics import NULL_METRICS, Metrics, MetricsLike, MetricsSnapshot
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, TracerLike
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.pilfill.executor import SharedStoreHandle
-from repro.pilfill.columns import ColumnNeighbor
 from repro.pilfill.costlike import TileCosts
+from repro.pilfill.costs import ColumnCosts, PayloadColumnCosts
 from repro.pilfill.robust import SolveReport, solve_tile_robust
 from repro.pilfill.solution import TileSolution
 from repro.testing.faults import FaultSpec
@@ -108,51 +106,13 @@ class TileOutcome:
 
 
 @dataclass(frozen=True)
-class PayloadColumn:
-    """Electrical view of one slack column, without layout geometry.
-
-    Mirrors the parts of :class:`~repro.pilfill.columns.SlackColumn` the
-    per-tile solvers read (neighbors, gap, r̂) — site rectangles stay in
-    the parent process, which places the returned counts itself.
-    """
-
-    gap_um: float | None
-    below: ColumnNeighbor | None
-    above: ColumnNeighbor | None
-
-    @property
-    def has_impact(self) -> bool:
-        return self.below is not None and self.above is not None and self.gap_um is not None
-
-    def resistance_weight(self, weighted: bool) -> float:
-        total = 0.0
-        for neighbor in (self.below, self.above):
-            if neighbor is not None:
-                w = neighbor.sinks if weighted else 1
-                total += w * neighbor.resistance_ohm
-        return total
-
-
-@dataclass(frozen=True)
-class PayloadColumnCosts:
-    """Picklable stand-in for :class:`~repro.pilfill.costs.ColumnCosts`."""
-
-    column: PayloadColumn
-    exact: tuple[float, ...]
-    linear: tuple[float, ...]
-
-    @property
-    def capacity(self) -> int:
-        return len(self.exact) - 1
-
-
-@dataclass(frozen=True)
 class TilePayload:
-    """Everything a worker process needs to solve one tile.
+    """Everything but the cost columns a worker needs to solve one tile.
 
-    Built from the engine's prepared cost tables by
-    :func:`make_tile_payload`; deliberately contains no layout, engine,
-    or dissection objects so pickling stays cheap. MVDC payloads carry
+    Built by :func:`make_tile_payload`; deliberately contains no layout,
+    engine, dissection or cost-table objects, so pickling stays cheap and
+    the columns travel exactly once, in the batch (see
+    :class:`~repro.pilfill.executor.TileBatch`). MVDC payloads carry
     ``method="mvdc"`` and their ``delay_budget_ps`` (budget then acts as
     the feature-count cap).
     """
@@ -163,7 +123,6 @@ class TilePayload:
     weighted: bool
     ilp_backend: str
     seed: int
-    columns: tuple[PayloadColumnCosts, ...]
     delay_budget_ps: float | None = None
     tile_deadline_s: float | None = None
     run_deadline: float | None = None  # absolute time.time() epoch
@@ -171,31 +130,21 @@ class TilePayload:
     telemetry: bool = False
 
 
-def payload_columns(costs: TileCosts) -> tuple[PayloadColumnCosts, ...]:
+def payload_columns(costs: Sequence[ColumnCosts]) -> tuple[PayloadColumnCosts, ...]:
     """Picklable column tables for one tile's :class:`ColumnCosts` list.
 
-    Process dispatch ships the result once per run through the
-    shared-memory store (see :meth:`~repro.pilfill.prepare.
-    PreparedInstance.shared_store_for`) rather than inside every payload;
-    in-process dispatch needs no conversion at all.
+    Called only by the process dispatcher
+    (:func:`~repro.pilfill.executor.dispatch_batches`), for each tile of
+    each batch it submits; in-process dispatch needs no conversion. The
+    views are cached on the prepared tables
+    (:attr:`~repro.pilfill.costs.ColumnCosts.payload`), so a repeated run
+    over one prepared instance does not rebuild them.
     """
-    return tuple(
-        PayloadColumnCosts(
-            column=PayloadColumn(
-                gap_um=cc.column.gap_um,
-                below=cc.column.below,
-                above=cc.column.above,
-            ),
-            exact=tuple(cc.exact),
-            linear=tuple(cc.linear),
-        )
-        for cc in costs
-    )
+    return tuple(cc.payload for cc in costs)
 
 
 def make_tile_payload(
     key: TileKey,
-    costs: TileCosts,
     budget: int,
     *,
     method: str,
@@ -207,14 +156,9 @@ def make_tile_payload(
     run_deadline: float | None = None,
     fault_spec: FaultSpec | None = None,
     telemetry: bool = False,
-    inline_columns: bool = True,
 ) -> TilePayload:
-    """Compact payload for one tile from its :class:`ColumnCosts` list.
-
-    ``inline_columns=False`` leaves ``columns`` empty — the payload then
-    rides a shared-memory store and the worker hydrates the tables by
-    tile key (see :mod:`repro.pilfill.executor`).
-    """
+    """Compact payload for one tile (its cost columns travel separately,
+    see :func:`dispatch_tile_payloads`)."""
     return TilePayload(
         key=key,
         method=method,
@@ -222,7 +166,6 @@ def make_tile_payload(
         weighted=weighted,
         ilp_backend=ilp_backend,
         seed=seed,
-        columns=payload_columns(costs) if inline_columns else (),
         delay_budget_ps=delay_budget_ps,
         tile_deadline_s=tile_deadline_s,
         run_deadline=run_deadline,
@@ -232,18 +175,17 @@ def make_tile_payload(
 
 
 def solve_tile_payload(
-    payload: TilePayload, attempt: int = 0, columns: TileCosts | None = None
+    payload: TilePayload, columns: TileCosts, attempt: int = 0
 ) -> TileOutcome:
     """Solve one tile through the robust fallback chain — in a pool worker
     or in the dispatching process.
 
-    ``columns`` supplies the tile's cost tables directly (in-process
-    dispatch passes the prepared :class:`~repro.pilfill.costs.
-    ColumnCosts` list, so a column-less payload costs no conversion);
-    otherwise the payload's own ``columns`` are used. Either way the
-    tables are bit-identical and the RNG is re-derived from
-    ``(seed, key)``, so the solve is order-, host-, backend- and
-    attempt-independent. ``attempt`` is the dispatcher attempt number
+    ``columns`` are the tile's cost tables: the prepared
+    :class:`~repro.pilfill.costs.ColumnCosts` list in-process, or their
+    :class:`~repro.pilfill.costs.PayloadColumnCosts` views in a pool
+    worker. Either way the tables are bit-identical and the RNG is
+    re-derived from ``(seed, key)``, so the solve is order-, host-,
+    backend- and attempt-independent. ``attempt`` is the dispatcher attempt number
     (threaded to the fault hooks so transient faults fire on the first
     attempt only, regardless of which process runs the retry).
 
@@ -255,7 +197,7 @@ def solve_tile_payload(
     metrics = Metrics() if payload.telemetry else None
     t0 = time.perf_counter()
     robust = solve_tile_robust(
-        columns if columns is not None else list(payload.columns),
+        columns,
         payload.method,
         payload.budget,
         payload.weighted,
@@ -312,8 +254,8 @@ def _failed_outcome(key: TileKey, exc: BaseException, seconds: float, retries: i
 
 def _solve_payload_isolated(
     payload: TilePayload,
+    columns: TileCosts,
     escalate: tuple[type[BaseException], ...] = (),
-    columns: TileCosts | None = None,
 ) -> TileOutcome:
     """In-process payload solve with the retry-then-fail policy applied.
 
@@ -328,7 +270,7 @@ def _solve_payload_isolated(
     last: BaseException | None = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            return solve_tile_payload(payload, attempt, columns)
+            return solve_tile_payload(payload, columns, attempt)
         except SolveTimeoutError as exc:
             return _failed_outcome(payload.key, exc, time.perf_counter() - t0, attempt)
         except escalate:
@@ -342,36 +284,33 @@ def dispatch_tile_payloads(
     payloads: Sequence[TilePayload],
     workers: int = 1,
     *,
+    costs: Mapping[TileKey, Sequence[ColumnCosts]],
     backend: str = "process",
-    costs: Mapping[TileKey, TileCosts] | None = None,
-    store: "SharedStoreHandle | None" = None,
     tracer: TracerLike = NULL_TRACER,
     metrics: MetricsLike = NULL_METRICS,
 ) -> dict[TileKey, TileOutcome]:
     """Solve tile payloads serially, on a thread pool, or on the
     persistent process pool.
 
-    An empty payload list returns an empty mapping before any pool is
-    touched (a no-fill-needed run must not cost a pool). The returned
-    mapping is ordered by ``payloads`` regardless of completion order,
-    giving a deterministic merge; results never depend on the backend or
-    worker count.
+    ``costs`` maps every payload's tile key to its prepared cost tables;
+    a key missing from it raises :class:`~repro.errors.FillError` before
+    anything is solved or submitted. An empty payload list returns an
+    empty mapping before any pool is touched (a no-fill-needed run must
+    not cost a pool). The returned mapping is ordered by ``payloads``
+    regardless of completion order, giving a deterministic merge; results
+    never depend on the backend or worker count.
 
     * ``backend="process"`` with ``workers > 1`` (and more than one
       payload) dispatches chunked :class:`~repro.pilfill.executor.
-      TileBatch` submits on the persistent pool for that worker count.
-      ``store`` names a shared-memory cost store; payloads built with
-      empty ``columns`` are hydrated from it on the worker side, so the
-      big tables cross the pickle boundary once per worker rather than
-      once per tile (chunk sizes are auto-chosen, see
-      :func:`~repro.pilfill.executor.chunk_payloads`);
+      TileBatch` submits on the persistent pool for that worker count;
+      each batch carries picklable copies of its own tiles' columns
+      (chunk sizes are auto-chosen, see
+      :func:`~repro.pilfill.executor.chunk_payloads`).
       ``tracer``/``metrics`` receive per-batch spans and dispatch-cost
       metrics (payload bytes, batches, broken pools).
-    * Otherwise the payloads are solved in this process — serially, or
-      over a ``workers``-thread pool for ``backend="thread"``. ``costs``
-      maps tile keys to their prepared cost tables, handed to the solver
-      next to column-less payloads; without it, payload columns (inline
-      or hydrated from ``store``) are used.
+    * Otherwise the payloads are solved in this process against the
+      prepared tables themselves — serially, or over a ``workers``-thread
+      pool for ``backend="thread"``.
 
     A failing tile is retried once and then recorded as a failed
     :class:`TileOutcome` instead of aborting the sweep; a deadline expiry
@@ -380,7 +319,7 @@ def dispatch_tile_payloads(
     re-solved in the parent process, which is attempt 1 of the same
     deterministic contract.
     """
-    from repro.pilfill.executor import _hydrate, dispatch_batches, resolve_store
+    from repro.pilfill.executor import dispatch_batches
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -388,19 +327,18 @@ def dispatch_tile_payloads(
         raise FillError(
             f"unknown parallel backend {backend!r}; expected one of {PARALLEL_BACKENDS}"
         )
+    missing = [p.key for p in payloads if p.key not in costs]
+    if missing:
+        raise FillError(f"no cost tables for tile(s) {missing[:5]}")
     if not payloads:
         return {}
     if backend == "process" and workers > 1 and len(payloads) > 1:
         return dispatch_batches(
-            payloads, workers, store=store, tracer=tracer, metrics=metrics
+            payloads, workers, costs=costs, tracer=tracer, metrics=metrics
         )
-    if costs is None and store is not None:
-        data = resolve_store(store)
-        payloads = [_hydrate(p, data) for p in payloads]
 
     def solve(payload: TilePayload) -> TileOutcome:
-        columns = costs[payload.key] if costs is not None else None
-        return _solve_payload_isolated(payload, columns=columns)
+        return _solve_payload_isolated(payload, costs[payload.key])
 
     if workers == 1 or len(payloads) <= 1:
         return {p.key: solve(p) for p in payloads}

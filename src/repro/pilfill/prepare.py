@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.tech.rules import DensityRules, FillRules
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pilfill.engine import EngineConfig
-    from repro.pilfill.executor import SharedCostStore
 
 TileKey = tuple[int, int]
 
@@ -95,9 +94,6 @@ class PreparedInstance:
     )
     _budgets: dict[tuple, dict[TileKey, int]] = field(default_factory=dict, repr=False)
     _lut_caches: dict[bool, LUTCache] = field(default_factory=dict, repr=False)
-    _shared_stores: dict[bool, "SharedCostStore | None"] = field(
-        default_factory=dict, repr=False
-    )
     _tile_index: "GridBinIndex[TileKey] | None" = field(default=None, repr=False)
 
     #: Process-wide count of full preprocessing builds (see :func:`prepare`).
@@ -190,9 +186,8 @@ class PreparedInstance:
 
         One LUT cache per ``weighted`` flag is shared by every build —
         shard-by-shard building reuses interpolations exactly like the
-        global build, and the shared-memory store ships the same LUT
-        tables to pool workers. Caching is value-transparent, so the
-        tables are bit-identical either way. The cache's hit/miss deltas
+        global build. Caching is value-transparent, so the tables are
+        bit-identical either way. The cache's hit/miss deltas
         accumulate into ``lut_stats``.
         """
         trc = tracer if tracer is not None else NULL_TRACER
@@ -225,60 +220,10 @@ class PreparedInstance:
         )
         return costs
 
-    def store_for_costs(
-        self,
-        weighted: bool,
-        costs_by_tile: Mapping[TileKey, list[ColumnCosts]],
-    ) -> "SharedCostStore | None":
-        """A caller-owned shared-memory store for a subset of tiles.
-
-        A multi-shard solve builds one per shard and must ``close()`` it
-        when the shard completes — unlike :meth:`shared_store_for`,
-        nothing is cached on the instance, so an unclosed store would
-        linger until garbage collection.
-        Returns ``None`` where shared memory is unavailable (callers
-        fall back to inline payload columns).
-        """
-        from repro.pilfill.executor import make_shared_store
-        from repro.pilfill.parallel import payload_columns
-
-        columns = {key: payload_columns(cc) for key, cc in costs_by_tile.items()}
-        lut_cache = self._lut_caches.get(weighted)
-        return make_shared_store(
-            columns, lut_cache.snapshot() if lut_cache is not None else None
-        )
-
-    def shared_store_for(
-        self, weighted: bool, tracer: TracerLike | None = None
-    ) -> "SharedCostStore | None":
-        """The shared-memory cost/LUT store for ``weighted`` runs.
-
-        Built once per flag and reused by every ``engine.run()`` on this
-        instance — the persistent pool's workers resolve it by content
-        hash, so consecutive runs (even interleaved with runs of another
-        prepared instance) always see the right tables. A cached store
-        whose block was released early (a broken-pool recovery unlinks
-        eagerly — see :func:`~repro.pilfill.executor.release_store`) is
-        rebuilt rather than handed out dead. Returns ``None`` where
-        shared memory is unavailable; callers then fall back to inline
-        per-payload columns.
-        """
-        if weighted in self._shared_stores:
-            cached = self._shared_stores[weighted]
-            if cached is None or not cached.closed:
-                return cached
-            del self._shared_stores[weighted]
-        store = self.store_for_costs(weighted, self.costs_for(weighted, tracer=tracer))
-        self._shared_stores[weighted] = store
-        return store
-
     def close(self) -> None:
-        """Release the shared-memory stores (idempotent; also guaranteed
-        by per-store finalizers when the instance is garbage-collected)."""
-        for store in self._shared_stores.values():
-            if store is not None:
-                store.close()
-        self._shared_stores.clear()
+        """Drop the memoized cost tables (idempotent). A later
+        :meth:`costs_for` rebuilds them, bit-identically."""
+        self._costs.clear()
 
     def budget_for(
         self, config: "EngineConfig", tracer: TracerLike | None = None

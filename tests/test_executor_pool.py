@@ -1,4 +1,4 @@
-"""Persistent process pool, chunked dispatch, shared-memory cost store.
+"""Persistent process pool and chunked dispatch of self-contained batches.
 
 Regression targets of the persistent-pool executor PR:
 
@@ -15,24 +15,29 @@ Regression targets of the persistent-pool executor PR:
   retried,
 * telemetry merges each tile exactly once (solved+failed == dispatched,
   even when a batch is re-solved in the parent after a worker death),
-* the shared store round-trips content by hash, rejects corrupted
-  blocks, and re-syncs across store epochs.
+* a batch carries its own tiles' columns and solves like the in-process
+  path; a payload without cost tables is rejected before any submit,
+* a real worker death is recovered in the parent, and the pool is
+  rebuilt on the next dispatch,
+* a pool warmed before the first run survives a shutdown-and-rerun of
+  the same prepared instance, and no run leaves a ``resource_tracker``
+  warning behind.
 """
 
 from __future__ import annotations
 
-import gc
+import json
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
-from dataclasses import replace
-from multiprocessing import shared_memory
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import repro.pilfill.executor as executor_module
-from repro.cap.lut import LUTCache, LUTSnapshot
 from repro.errors import FillError
 from repro.pilfill import (
     EngineConfig,
@@ -40,7 +45,6 @@ from repro.pilfill import (
     SlackColumnDef,
     chunk_payloads,
     dispatch_tile_payloads,
-    make_shared_store,
     make_tile_payload,
     payload_columns,
     pool_stats,
@@ -48,16 +52,7 @@ from repro.pilfill import (
     shutdown_pools,
     worker_pids,
 )
-from repro.pilfill.executor import (
-    SharedStoreHandle,
-    TileBatch,
-    _STORE_CACHE,
-    dispatch_batches,
-    live_store_names,
-    release_store,
-    resolve_store,
-    solve_tile_batch,
-)
+from repro.pilfill.executor import TileBatch, dispatch_batches, solve_tile_batch
 from repro.tech import DensityRules, FillRules
 from repro.testing.faults import FaultSpec
 
@@ -127,14 +122,24 @@ def rendezvous(monkeypatch):
 
 
 def make_payloads(prepared, baseline, method="greedy", **overrides):
-    """Inline-column payloads for every solved tile of the baseline."""
-    costs_by_tile = prepared.costs_for(True)
+    """Payloads for every solved tile of the baseline (their cost tables
+    are ``prepared.costs_for(True)``)."""
     kwargs = dict(method=method, weighted=True, ilp_backend="scipy", seed=0)
     kwargs.update(overrides)
     return [
-        make_tile_payload(key, costs_by_tile[key], baseline.effective_budget[key], **kwargs)
+        make_tile_payload(key, baseline.effective_budget[key], **kwargs)
         for key in sorted(baseline.tile_solutions)
     ]
+
+
+def make_batch(prepared, payloads):
+    """One :class:`TileBatch` of ``payloads``, as the process dispatcher
+    builds it."""
+    costs = prepared.costs_for(True)
+    return TileBatch(
+        payloads=tuple(payloads),
+        columns=tuple(payload_columns(costs[p.key]) for p in payloads),
+    )
 
 
 class TestEmptyDispatch:
@@ -142,13 +147,13 @@ class TestEmptyDispatch:
 
     def test_empty_payloads_return_empty_before_any_pool(self):
         created_before = pool_stats()["created"]
-        assert dispatch_tile_payloads([], workers=2) == {}
-        assert dispatch_tile_payloads([], workers=8, backend="thread") == {}
+        assert dispatch_tile_payloads([], workers=2, costs={}) == {}
+        assert dispatch_tile_payloads([], workers=8, backend="thread", costs={}) == {}
         assert pool_stats()["created"] == created_before
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_empty_keys_return_empty(self, backend):
-        outcome = dispatch_tile_payloads([], workers=4, backend=backend)
+        outcome = dispatch_tile_payloads([], workers=4, backend=backend, costs={})
         assert outcome == {}
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
@@ -267,8 +272,9 @@ class TestPoolPersistence:
         have one, so both workers serve both dispatches."""
         payloads = make_payloads(prepared, baseline)[:2]
         assert len(chunk_payloads(payloads, 2)) == 2
-        first = dispatch_tile_payloads(payloads, workers=2)
-        second = dispatch_tile_payloads(payloads, workers=2)
+        costs = prepared.costs_for(True)
+        first = dispatch_tile_payloads(payloads, workers=2, costs=costs)
+        second = dispatch_tile_payloads(payloads, workers=2, costs=costs)
         pids_a, pids_b = worker_pids(first), worker_pids(second)
         assert len(pids_a) == 2 and pids_a == pids_b
         assert os.getpid() not in pids_a
@@ -294,8 +300,9 @@ class TestFaultsMidBatch:
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
         clean = make_payloads(prepared, baseline)
         # One big batch: the death strands every batchmate behind it.
-        faulted = dispatch_tile_payloads(payloads, workers=2)
-        reference = dispatch_tile_payloads(clean, workers=2)
+        costs = prepared.costs_for(True)
+        faulted = dispatch_tile_payloads(payloads, workers=2, costs=costs)
+        reference = dispatch_tile_payloads(clean, workers=2, costs=costs)
         assert set(faulted) == set(reference)
         for key in keys:
             assert faulted[key].value.counts == reference[key].value.counts
@@ -309,7 +316,9 @@ class TestFaultsMidBatch:
         dying = keys[0]
         spec = FaultSpec.single("worker_death", tiles=[dying], attempts=None)
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
-        outcomes = dispatch_tile_payloads(payloads, workers=2)
+        outcomes = dispatch_tile_payloads(
+            payloads, workers=2, costs=prepared.costs_for(True)
+        )
         assert outcomes[dying].failed
         assert "WorkerDeathError" in outcomes[dying].error
         for key in keys[1:]:
@@ -327,7 +336,9 @@ class TestFaultsMidBatch:
             "timeout", tiles=[expiring], methods=("greedy",), attempts=None
         )
         payloads = make_payloads(prepared, baseline, fault_spec=spec)
-        outcomes = dispatch_tile_payloads(payloads, workers=2)
+        outcomes = dispatch_tile_payloads(
+            payloads, workers=2, costs=prepared.costs_for(True)
+        )
         assert outcomes[expiring].failed
         assert outcomes[expiring].error.startswith("TIME_LIMIT")
         assert outcomes[expiring].retries == 0
@@ -373,101 +384,42 @@ class TestTelemetrySingleMerge:
         shutdown_pools()
 
 
-class TestSharedStore:
-    def test_round_trip_and_cache(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            data = resolve_store(store.handle)
-            assert data.columns == columns
-            # Cached by content hash: the second resolve is the same object.
-            assert resolve_store(store.handle) is data
-            assert store.handle.content_hash in _STORE_CACHE.cached_hashes()
-        finally:
-            store.close()
-
-    def test_hash_mismatch_rejected(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            forged = replace(store.handle, content_hash="0" * 64)
-            with pytest.raises(FillError, match="hash mismatch"):
-                resolve_store(forged)
-        finally:
-            store.close()
-
-    def test_two_epochs_resolve_independently(self, prepared):
-        """The stale-worker handshake: handles of different content hash
-        resolve to their own data — a cached older epoch is never served
-        for a newer handle."""
-        costs = prepared.costs_for(True)
-        keys = sorted(costs)
-        all_columns = {k: payload_columns(costs[k]) for k in keys}
-        half_columns = {k: all_columns[k] for k in keys[: len(keys) // 2 or 1]}
-        store_a = make_shared_store(all_columns)
-        store_b = make_shared_store(half_columns)
-        if store_a is None or store_b is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            assert store_a.handle.content_hash != store_b.handle.content_hash
-            assert resolve_store(store_a.handle).columns == all_columns
-            assert resolve_store(store_b.handle).columns == half_columns
-            assert resolve_store(store_a.handle).columns == all_columns
-        finally:
-            store_a.close()
-            store_b.close()
-
-    def test_close_is_idempotent(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        store.close()
-        store.close()
-
-    def test_store_backed_batch_solves_like_inline(self, prepared, baseline):
-        """solve_tile_batch hydrating from the store must equal the
-        inline-columns solve — this is the path pool workers run."""
-        inline = make_payloads(prepared, baseline)
-        stripped = [replace(p, columns=()) for p in inline]
-        columns = {p.key: p.columns for p in inline}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            via_store = solve_tile_batch(
-                TileBatch(payloads=tuple(stripped), store=store.handle)
-            )
-            via_inline = solve_tile_batch(TileBatch(payloads=tuple(inline)))
-            assert [o.value.counts for o in via_store] == [
-                o.value.counts for o in via_inline
-            ]
-        finally:
-            store.close()
-
-    def test_missing_tile_in_store_raises(self, prepared, baseline):
-        inline = make_payloads(prepared, baseline)
-        store = make_shared_store({})  # empty store: no tile data at all
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        try:
-            stripped = replace(inline[0], columns=())
-            with pytest.raises(FillError, match="no cost columns"):
-                solve_tile_batch(
-                    TileBatch(payloads=(stripped,), store=store.handle)
-                )
-        finally:
-            store.close()
-
-    def test_handles_and_batches_pickle(self, prepared, baseline):
-        handle = SharedStoreHandle(name="x", size=3, content_hash="ab")
-        batch = TileBatch(
-            payloads=tuple(make_payloads(prepared, baseline)[:2]), store=handle
+class TestBatches:
+    def test_batch_solves_like_in_process(self, prepared, baseline):
+        """solve_tile_batch on a batch's own picklable columns — the path
+        pool workers run — equals the in-process solve on the prepared
+        tables."""
+        payloads = make_payloads(prepared, baseline)
+        in_process = dispatch_tile_payloads(
+            payloads, workers=1, costs=prepared.costs_for(True)
         )
+        via_batch = solve_tile_batch(make_batch(prepared, payloads))
+        assert [o.key for o in via_batch] == [p.key for p in payloads]
+        assert [o.value for o in via_batch] == [
+            in_process[p.key].value for p in payloads
+        ]
+
+    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    def test_missing_costs_raise_before_any_submit(
+        self, prepared, baseline, monkeypatch, workers, backend
+    ):
+        """A payload whose tile has no cost tables is a caller error, not
+        a tile to solve against zero columns: FillError, and no pool is
+        ever asked for."""
+        def no_pool(workers):
+            raise AssertionError("a pool was requested")
+
+        monkeypatch.setattr(executor_module, "get_pool", no_pool)
+        payloads = make_payloads(prepared, baseline)
+        costs = dict(prepared.costs_for(True))
+        del costs[payloads[1].key]
+        with pytest.raises(FillError, match="no cost tables"):
+            dispatch_tile_payloads(
+                payloads, workers=workers, backend=backend, costs=costs
+            )
+
+    def test_batches_pickle(self, prepared, baseline):
+        batch = make_batch(prepared, make_payloads(prepared, baseline)[:2])
         assert pickle.loads(pickle.dumps(batch)) == batch
 
 
@@ -478,169 +430,129 @@ def _exit_worker(batch):
     os._exit(1)
 
 
-class TestStoreLifetime:
-    """Shared-memory segments must never outlive the run that made them.
-
-    Regression targets of the broken-pool lifetime fix: a
-    BrokenProcessPool mid-run used to strand both the parent-side shm
-    block and the parent's resolved recovery copy until interpreter
-    exit. Now the dispatcher releases the store eagerly once every batch
-    is recovered, the registry/cache forget it, and owners that cached
-    the store observe ``closed`` and rebuild.
-    """
-
-    def _store_payloads(self, prepared, baseline):
-        inline = make_payloads(prepared, baseline)
-        columns = {p.key: p.columns for p in inline}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        return inline, [replace(p, columns=()) for p in inline], store
-
-    def test_broken_pool_releases_store_and_recovers(
-        self, prepared, baseline, monkeypatch, one_batch
-    ):
+class TestBrokenPool:
+    def test_broken_pool_recovers(self, prepared, baseline, monkeypatch, one_batch):
         """One real worker death: every batch is re-solved in the parent
-        (bit-identical), then the shm segment is unlinked eagerly — no
-        /dev/shm leak — and the broken pool is discarded for rebuild."""
+        (bit-identical), and the broken pool is discarded and rebuilt on
+        the next dispatch."""
         shutdown_pools()
-        inline, stripped, store = self._store_payloads(prepared, baseline)
-        assert store.handle.name in live_store_names()
+        payloads = make_payloads(prepared, baseline)
+        costs = prepared.costs_for(True)
         created_before = pool_stats()["created"]
         try:
             with monkeypatch.context() as patch:
                 # The dispatcher submits the module-level pool entry, so
                 # swapping it sends every batch to a dying worker.
                 patch.setattr(executor_module, "solve_tile_batch", _exit_worker)
-                outcomes = dispatch_batches(stripped, workers=2, store=store.handle)
+                outcomes = dispatch_batches(payloads, workers=2, costs=costs)
             reference = {
-                o.key: o
-                for o in solve_tile_batch(TileBatch(payloads=tuple(inline)))
+                o.key: o for o in solve_tile_batch(make_batch(prepared, payloads))
             }
             assert set(outcomes) == set(reference)
             for key, outcome in outcomes.items():
                 assert not outcome.failed, key
                 assert outcome.value.counts == reference[key].value.counts
 
-            # The eager release: block unlinked, every index dropped.
-            assert store.closed
-            assert store.handle.name not in live_store_names()
-            assert store.handle.content_hash not in _STORE_CACHE.cached_hashes()
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=store.handle.name)
-
             # The broken pool is gone; the next dispatch rebuilds one.
             stats = pool_stats()
             assert stats["created"] == created_before + 1
             assert stats["live"] == 0
-            rebuilt = dispatch_tile_payloads(inline, workers=2)
-            assert len(rebuilt) == len(inline)
+            rebuilt = dispatch_tile_payloads(payloads, workers=2, costs=costs)
+            assert len(rebuilt) == len(payloads)
             assert pool_stats()["created"] == created_before + 2
         finally:
-            store.close()
             shutdown_pools()
 
-    def test_release_store_unlinks_once(self, prepared):
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        assert not store.closed
-        assert release_store(store.handle) is True
-        assert store.closed
-        assert store.handle.name not in live_store_names()
-        # Idempotent: the second release finds nothing live.
-        assert release_store(store.handle) is False
-        store.close()  # also still idempotent
 
-    def test_release_evicts_resolved_copy(self, prepared):
-        """The parent's own resolved copy (broken-pool recovery path)
-        must not pin the payload either: release drops the cache entry."""
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        resolve_store(store.handle)
-        assert store.handle.content_hash in _STORE_CACHE.cached_hashes()
-        release_store(store.handle)
-        assert store.handle.content_hash not in _STORE_CACHE.cached_hashes()
-
-    def test_collected_store_leaves_no_registry_ghost(self, prepared):
-        """The registry holds weak refs: a store that is simply dropped
-        is finalized (segment unlinked) and vanishes from the audit."""
-        columns = {k: payload_columns(cc) for k, cc in prepared.costs_for(True).items()}
-        store = make_shared_store(columns)
-        if store is None:
-            pytest.skip("platform has no usable shared memory")
-        name = store.handle.name
-        del store
-        gc.collect()
-        assert name not in live_store_names()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_prepared_rebuilds_store_after_release(self, small_generated_layout):
-        """PreparedInstance caches its store per weighted flag; after an
-        eager release it must hand out a fresh live store, not the
-        closed one."""
+class TestPreparedClose:
+    def test_close_drops_memoized_costs(self, small_generated_layout):
+        """``close()`` releases the memoized cost tables (idempotently); a
+        later run rebuilds them bit-identically."""
         prep = prepare(
             small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
         )
-        try:
-            store = prep.shared_store_for(True)
-            if store is None:
-                pytest.skip("platform has no usable shared memory")
-            release_store(store.handle)
-            rebuilt = prep.shared_store_for(True)
-            assert rebuilt is not store
-            assert not rebuilt.closed
-            # Same content, fresh segment.
-            assert rebuilt.handle.content_hash == store.handle.content_hash
-            assert rebuilt.handle.name != store.handle.name
-            assert resolve_store(rebuilt.handle).columns
-        finally:
-            prep.close()
-
-
-class TestLUTSnapshot:
-    def test_round_trip_preserves_tables(self):
-        cache = LUTCache(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        lut_a = cache.get(2.0, 3)
-        lut_b = cache.get(3.5, 6)
-        snap = cache.snapshot()
-        restored = LUTCache.from_snapshot(snap)
-        assert len(restored) == 2
-        assert restored.get(2.0, 3).table == lut_a.table
-        assert restored.get(3.5, 6).table == lut_b.table
-        # Restored entries are warm: those gets were hits, not rebuilds.
-        assert restored.stats()["misses"] == 0
-
-    def test_snapshot_bytes_stable_warm_or_cold(self):
-        """A warm cache (memoized numpy arrays) must snapshot to the same
-        bytes as a cold one — the store's content hash depends on it."""
-        a = LUTCache(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        b = LUTCache(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        a.get(2.0, 3)
-        b.get(2.0, 3)
-        _ = b.get(2.0, 3).table_array  # warm the memoized array on b only
-        assert pickle.dumps(a.snapshot()) == pickle.dumps(b.snapshot())
-
-    def test_snapshot_is_picklable_dataclass(self):
-        snap = LUTSnapshot(eps_r=3.9, thickness_um=0.5, fill_width_um=0.5)
-        assert pickle.loads(pickle.dumps(snap)) == snap
-
-
-class TestPreparedStoreLifecycle:
-    def test_shared_store_cached_per_flag_and_closed(self, small_generated_layout):
-        prep = prepare(
-            small_generated_layout, "metal3", FILL, DENSITY, SlackColumnDef.FULL_LAYOUT
-        )
-        store = prep.shared_store_for(True)
-        assert prep.shared_store_for(True) is store  # built once per flag
+        engine = PILFillEngine(small_generated_layout, "metal3", make_cfg(), prepared=prep)
+        before = engine.run()
+        tables = prep.costs_for(True)
         prep.close()
-        prep.close()  # idempotent
-        if store is not None:
-            # The block is unlinked: a fresh resolve cannot attach it.
-            fresh = replace(store.handle, content_hash="f" * 64)
-            with pytest.raises((FileNotFoundError, FillError)):
-                resolve_store(fresh)
+        prep.close()
+        assert prep.costs_for(True) is not tables
+        assert prep.costs_for(True) == tables
+        assert engine.run().features == before.features
+
+
+#: Runs a process fill on a pool warmed before the first run, the way an
+#: embedder (or a benchmark set-up) warms one: ``get_pool`` first, then
+#: fills on one prepared instance. Prints a JSON summary on stdout.
+_WARM_POOL_SCRIPT = textwrap.dedent(
+    """
+    import json, sys, time
+    from repro.pilfill import (
+        EngineConfig, PILFillEngine, SlackColumnDef, get_pool, prepare,
+        result_digest, shutdown_pools,
+    )
+    from repro.synth import GeneratorSpec, generate_layout
+    from repro.tech import DensityRules, FillRules, default_stack
+
+    spec = GeneratorSpec(
+        name="small", die_um=48.0, n_nets=24, seed=7,
+        trunk_len_um=(8.0, 24.0), branch_len_um=(2.0, 8.0), sinks_per_net=(1, 3),
+    )
+    layout = generate_layout(spec, default_stack())
+    fill = FillRules(fill_size=500, fill_gap=250, buffer_distance=250)
+    density = DensityRules(window_size=16000, r=2, max_density=0.6)
+    prep = prepare(layout, "metal3", fill, density, SlackColumnDef.FULL_LAYOUT)
+
+    def run(**kwargs):
+        cfg = EngineConfig(
+            fill_rules=fill, density_rules=density, method="greedy",
+            backend="scipy", **kwargs,
+        )
+        result = PILFillEngine(layout, "metal3", cfg, prepared=prep).run()
+        return result_digest(result), len(result.failed_tiles)
+
+    serial = run()
+    runs = []
+    for shards in json.loads(sys.argv[1]):
+        list(get_pool(2).map(abs, range(8)))  # warm the pool first
+        runs.append(run(workers=2, parallel_backend="process", shards=shards))
+        shutdown_pools()
+        # Idle time between runs: whatever the exited workers left behind
+        # (helper processes included) has finished by the next run.
+        time.sleep(1.0)
+    print(json.dumps({"serial": serial, "runs": runs}))
+    """
+)
+
+
+def _run_warm_pool_script(shards):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", _WARM_POOL_SCRIPT, json.dumps(shards)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+class TestWarmPoolReruns:
+    """A pool forked before the first run used to break the next run:
+    each worker started its own ``multiprocessing`` resource tracker,
+    and when the workers exited those trackers unlinked the parent's
+    live cost-table segments. Both checks run in a fresh interpreter, so
+    no earlier test has already started a tracker in the parent."""
+
+    def test_rerun_after_shutdown_matches_serial(self):
+        """Warm pool, process fill, ``shutdown_pools()``, the same fill
+        again on the same prepared instance: both equal the serial run."""
+        proc = _run_warm_pool_script([1, 1])
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout)
+        serial_digest, serial_failed = summary["serial"]
+        assert serial_failed == 0
+        assert summary["runs"] == [[serial_digest, 0], [serial_digest, 0]]
+
+    def test_no_resource_tracker_warnings(self):
+        proc = _run_warm_pool_script([1, 2])
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr

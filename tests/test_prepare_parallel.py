@@ -28,6 +28,7 @@ from repro.pilfill import (
     TileSolution,
     dispatch_tile_payloads,
     make_tile_payload,
+    payload_columns,
     prepare,
     solve_tile_payload,
     tile_rng,
@@ -130,7 +131,8 @@ class TestProcessBackend:
         assert runs["thread"].effective_budget == runs["process"].effective_budget
 
     def test_payloads_are_picklable_and_compact(self, t1_setup):
-        """Payloads must pickle standalone (no layout/engine references)."""
+        """Payloads and their columns must pickle standalone (no
+        layout/engine references)."""
         import pickle
 
         layout, fill_rules, density_rules, prepared = t1_setup
@@ -140,12 +142,12 @@ class TestProcessBackend:
         costs_by_tile = prepared.costs_for(cfg.weighted)
         key = next(iter(baseline.tile_solutions))
         payload = make_tile_payload(
-            key, costs_by_tile[key], baseline.effective_budget[key],
+            key, baseline.effective_budget[key],
             method="greedy", weighted=cfg.weighted,
             ilp_backend=cfg.backend, seed=cfg.seed,
         )
-        blob = pickle.dumps(payload)
-        outcome = solve_tile_payload(pickle.loads(blob))
+        blob = pickle.dumps((payload, payload_columns(costs_by_tile[key])))
+        outcome = solve_tile_payload(*pickle.loads(blob))
         assert outcome.value.counts == baseline.tile_solutions[key].counts
         # Compactness: a tile ships in kilobytes, not a pickled layout.
         assert len(blob) < 200_000
@@ -157,7 +159,7 @@ class TestProcessBackend:
 
     def test_dispatch_backend_validated(self):
         with pytest.raises(FillError, match="backend"):
-            dispatch_tile_payloads([], workers=2, backend="mpi")
+            dispatch_tile_payloads([], workers=2, backend="mpi", costs={})
 
 
 class TestNormalSiteSampling:
@@ -204,9 +206,9 @@ class TestNormalSiteSampling:
         for order in (keys, list(reversed(keys))):
             payloads = [
                 make_tile_payload(
-                    key, costs_by_tile[key], baseline.effective_budget[key],
+                    key, baseline.effective_budget[key],
                     method="normal", weighted=cfg.weighted,
-                    ilp_backend=cfg.backend, seed=cfg.seed, inline_columns=False,
+                    ilp_backend=cfg.backend, seed=cfg.seed,
                 )
                 for key in order
             ]
@@ -285,7 +287,7 @@ class TestGuards:
 
     def test_dispatch_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):
-            dispatch_tile_payloads([], workers=0)
+            dispatch_tile_payloads([], workers=0, costs={})
 
     def test_trim_to_underflow_raises(self):
         """A zero-count solution asked to shrink further must raise, not
